@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race bench benchall bench_baseline benchcheck allocguard chaos resumecheck servecheck distcheck logcheck fleetchaos multigpucheck clean
+.PHONY: check build vet perfbenchcheck test race bench benchall bench_baseline benchcheck allocguard chaos resumecheck servecheck distcheck logcheck fleetchaos multigpucheck clean
 
 # The full verification gate: compile everything, vet, run the test
 # suite under the race detector, hold the observability layer and hot
@@ -9,14 +9,20 @@ GO ?= go
 # kill-and-recover the distributed sweep fabric, chaos-test the
 # replicated cache tier, validate the fleet's structured telemetry
 # against its schema, and hold the multi-GPU model to its determinism
-# and K=1-compatibility pins.
-check: build vet race allocguard benchcheck servecheck distcheck fleetchaos logcheck multigpucheck
+# and K=1-compatibility pins. perfbench, a separate module the root
+# build never compiles, is vetted and tested alongside.
+check: build vet perfbenchcheck race allocguard benchcheck servecheck distcheck fleetchaos logcheck multigpucheck
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# perfbench is its own Go module (it imports this one through a replace
+# directive), so `go build ./...` and `go test ./...` at the root skip it.
+perfbenchcheck:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 test:
 	$(GO) test -timeout 10m ./...

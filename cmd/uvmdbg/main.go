@@ -18,7 +18,7 @@ import (
 
 	"uvmsim/internal/core"
 	"uvmsim/internal/gpusim"
-	"uvmsim/internal/workloads"
+	"uvmsim/internal/sweep"
 )
 
 func main() {
@@ -34,10 +34,14 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := core.DefaultConfig(*gpuMB << 20)
-	cfg.Seed = *seed
-	cfg.PrefetchPolicy = *prefetch
-	cfg.EvictPolicy = *evictPol
+	cell := sweep.Cell{
+		Workload: *workload, GPUMemoryBytes: *gpuMB << 20, Seed: *seed,
+		Footprint: *footprint, Prefetch: *prefetch, Evict: *evictPol,
+	}
+	cfg, err := cell.Config()
+	if err != nil {
+		fatal(err)
+	}
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		fatal(err)
@@ -46,13 +50,7 @@ func main() {
 		gpusim.SetDebugLog(func(f string, a ...interface{}) { fmt.Printf(f+"\n", a...) })
 		defer gpusim.SetDebugLog(nil)
 	}
-	builder, err := workloads.Get(*workload)
-	if err != nil {
-		fatal(err)
-	}
-	p := workloads.DefaultParams()
-	p.Seed = *seed + 100
-	k, err := builder(sys, int64(*footprint*float64(*gpuMB<<20)), p)
+	k, err := cell.Kernel(sys)
 	if err != nil {
 		fatal(err)
 	}

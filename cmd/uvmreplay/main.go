@@ -17,7 +17,7 @@ import (
 	"os"
 
 	"uvmsim/internal/core"
-	"uvmsim/internal/driver"
+	"uvmsim/internal/sweep"
 	"uvmsim/internal/workloads"
 )
 
@@ -50,22 +50,19 @@ func main() {
 		fatal(err)
 	}
 
-	cfg := core.DefaultConfig(*gpuMB << 20)
-	cfg.Seed = *seed
-	cfg.PrefetchPolicy = *prefetch
-	cfg.EvictPolicy = *evictPol
-	pol, err := driver.ParseReplayPolicy(*replayPol)
+	cell := sweep.Cell{
+		GPUMemoryBytes: *gpuMB << 20, Seed: *seed,
+		Prefetch: *prefetch, Evict: *evictPol, Replay: *replayPol,
+	}
+	cfg, err := cell.Config()
 	if err != nil {
 		fatal(err)
 	}
-	cfg.Driver.Policy = pol
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		fatal(err)
 	}
-	p := workloads.DefaultParams()
-	p.Seed = *seed + 100
-	k, err := workloads.Replay(sys, accesses, p)
+	k, err := workloads.Replay(sys, accesses, cell.Params())
 	if err != nil {
 		fatal(err)
 	}

@@ -20,8 +20,8 @@ import (
 	"uvmsim/internal/core"
 	"uvmsim/internal/govern"
 	"uvmsim/internal/plot"
+	"uvmsim/internal/sweep"
 	"uvmsim/internal/trace"
-	"uvmsim/internal/workloads"
 )
 
 func main() {
@@ -48,10 +48,14 @@ func run() int {
 	ctx, stop := gf.Context()
 	defer stop()
 
-	cfg := core.DefaultConfig(*gpuMB << 20)
-	cfg.Seed = *seed
-	cfg.PrefetchPolicy = *prefetch
-	cfg.EvictPolicy = *evictPol
+	cell := sweep.Cell{
+		Workload: *workload, GPUMemoryBytes: *gpuMB << 20, Seed: *seed,
+		Footprint: *footprint, Prefetch: *prefetch, Evict: *evictPol,
+	}
+	cfg, err := cell.Config()
+	if err != nil {
+		return fatal(err)
+	}
 	cfg.TraceCapacity = -1
 	cfg.Cancel = govern.WatchContext(ctx)
 	cfg.Budget = gf.Budget()
@@ -59,13 +63,7 @@ func run() int {
 	if err != nil {
 		return fatal(err)
 	}
-	builder, err := workloads.Get(*workload)
-	if err != nil {
-		return fatal(err)
-	}
-	p := workloads.DefaultParams()
-	p.Seed = *seed + 100
-	k, err := builder(sys, int64(*footprint*float64(*gpuMB<<20)), p)
+	k, err := cell.Kernel(sys)
 	if err != nil {
 		return fatal(err)
 	}

@@ -32,7 +32,7 @@ import (
 	"uvmsim/internal/prof"
 	"uvmsim/internal/sim"
 	"uvmsim/internal/stats"
-	"uvmsim/internal/workloads"
+	"uvmsim/internal/sweep"
 )
 
 func main() {
@@ -77,6 +77,10 @@ func run() int {
 	if err != nil {
 		return fail(err)
 	}
+	cell := sweep.Cell{
+		Workload: *workload, GPUMemoryBytes: *gpuMB << 20, Seed: *seed, Footprint: *footprint,
+		Prefetch: *prefetch, Gpus: *gpus, Migration: mpol.String(),
+	}
 
 	ctx, stop := gf.Context()
 	defer stop()
@@ -87,7 +91,8 @@ func run() int {
 		if err := ctx.Err(); err != nil {
 			return failGoverned(err)
 		}
-		if err := traceOne(collector, gov, *workload, *gpuMB<<20, *footprint, *prefetch, pol, *seed, *gpus, mpol); err != nil {
+		cell.Replay = pol.String()
+		if err := traceOne(collector, gov, cell); err != nil {
 			return failGoverned(err)
 		}
 	}
@@ -120,36 +125,26 @@ type governance struct {
 	budget sim.Budget
 }
 
-// traceOne runs the workload once under pol with full instrumentation,
-// prints the timeline and latency summary, and verifies the span stream
-// against the driver's phase breakdown.
-func traceOne(collector *obs.Collector, gov governance, workload string, gpuBytes int64, footprint float64, prefetch string, pol driver.ReplayPolicy, seed uint64, gpus int, mpol multigpu.Policy) error {
-	label := fmt.Sprintf("workload=%s policy=%s footprint=%g seed=%d", workload, pol, footprint, seed)
-	if gpus > 1 {
-		label += fmt.Sprintf(" gpus=%d migration=%s", gpus, mpol)
+// traceOne runs the cell once with full instrumentation, prints the
+// timeline and latency summary, and verifies the span stream against
+// the driver's phase breakdown.
+func traceOne(collector *obs.Collector, gov governance, cell sweep.Cell) error {
+	label := fmt.Sprintf("workload=%s policy=%s footprint=%g seed=%d", cell.Workload, cell.Replay, cell.Footprint, cell.Seed)
+	if cell.Gpus > 1 {
+		label += fmt.Sprintf(" gpus=%d migration=%s", cell.Gpus, cell.Migration)
 	}
-	cfg := core.DefaultConfig(gpuBytes)
-	cfg.Seed = seed
-	cfg.PrefetchPolicy = prefetch
-	cfg.Driver.Policy = pol
+	cfg, err := cell.Config()
+	if err != nil {
+		return err
+	}
 	cfg.Cancel = gov.cancel
 	cfg.Budget = gov.budget
-	if gpus > 1 {
-		cfg.GPUs = gpus
-		cfg.Migration = mpol
-	}
 	cfg.Obs = obs.Options{Collector: collector, Label: label, Lifecycle: true}
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		return err
 	}
-	builder, err := workloads.Get(workload)
-	if err != nil {
-		return err
-	}
-	p := workloads.DefaultParams()
-	p.Seed = seed + 100
-	k, err := builder(sys, int64(footprint*float64(gpuBytes)), p)
+	k, err := cell.Kernel(sys)
 	if err != nil {
 		return err
 	}

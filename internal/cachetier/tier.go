@@ -242,15 +242,11 @@ func (t *Tier) Lookup(ctx context.Context, cs dist.CellSpec) (row []string, node
 	if len(t.nodes) == 0 {
 		return nil, "", false
 	}
-	req, exact := cs.SimRequest()
+	req, exact := serve.SimRequestOf(cs)
 	if !exact {
 		return nil, "", false
 	}
-	label, err := cs.Label()
-	if err != nil {
-		return nil, "", false
-	}
-	key := confighash.Sum(label)
+	key := cs.Hash()
 	t.count(MetricLookups)
 	tried := 0
 	limit := t.cfg.MaxFailover + 1 // owner plus failovers
@@ -348,14 +344,11 @@ func (t *Tier) Fill(ctx context.Context, cs dist.CellSpec, row []string) error {
 	if len(t.nodes) == 0 || len(row) == 0 {
 		return nil
 	}
-	req, exact := cs.SimRequest()
+	req, exact := serve.SimRequestOf(cs)
 	if !exact {
 		return nil
 	}
-	label, err := cs.Label()
-	if err != nil {
-		return nil
-	}
+	label := cs.Label()
 	key := confighash.Sum(label)
 	n := t.nodes[t.ring.Owner(key)]
 	allowed, tr := n.breaker.Allow()

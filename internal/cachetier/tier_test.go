@@ -51,11 +51,7 @@ func localRow(t *testing.T, cs dist.CellSpec) []string {
 
 func keyOf(t *testing.T, cs dist.CellSpec) string {
 	t.Helper()
-	label, err := cs.Label()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return confighash.Sum(label)
+	return confighash.Sum(cs.Label())
 }
 
 // A healthy tier answers the same row the local engine computes — the
@@ -182,7 +178,7 @@ func TestTierFillThenServerHit(t *testing.T) {
 		t.Fatalf("fills = %d, want 1", got)
 	}
 	// The node must now answer /v1/sim from its cache, not by simulating.
-	req, ok := cs.SimRequest()
+	req, ok := serve.SimRequestOf(cs)
 	if !ok {
 		t.Fatal("cell not expressible via wire form")
 	}

@@ -162,6 +162,9 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.VABlockSize == 0 {
 		cfg.VABlockSize = mem.DefaultVABlockSize
 	}
+	if strings.TrimSuffix(cfg.EvictPolicy, "+thrash") == "access-aware" {
+		cfg.GPU.AccessCounters = true // the policy ranks victims by these counters
+	}
 	geom, err := mem.NewGeometry(cfg.VABlockSize)
 	if err != nil {
 		return nil, err

@@ -294,3 +294,38 @@ func TestAccessorSurface(t *testing.T) {
 		t.Error("nil accessor")
 	}
 }
+
+// Access-aware eviction ranks victims by the GPU access counters, so
+// NewSystem turns the counters on for it: a config that forgets the flag
+// runs exactly like one that sets it, and neither degrades to LRU.
+func TestAccessAwareEnablesAccessCounters(t *testing.T) {
+	run := func(evict string, counters bool) *RunResult {
+		s := newSys(t, 16<<20, func(c *Config) {
+			c.EvictPolicy = evict
+			c.GPU.AccessCounters = counters
+		})
+		if !s.Config().GPU.AccessCounters && strings.HasPrefix(evict, "access-aware") {
+			t.Errorf("%s: access counters left off", evict)
+		}
+		k, err := workloads.PageTouchRandom(s, 24<<20, workloads.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.RunUVM(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, evict := range []string{"access-aware", "access-aware+thrash"} {
+		implicit, explicit := run(evict, false), run(evict, true)
+		if implicit.TotalTime != explicit.TotalTime || implicit.Evictions != explicit.Evictions {
+			t.Errorf("%s: without flag total=%v evictions=%d, with flag total=%v evictions=%d",
+				evict, implicit.TotalTime, implicit.Evictions, explicit.TotalTime, explicit.Evictions)
+		}
+	}
+	aware, lru := run("access-aware", false), run("lru", false)
+	if aware.TotalTime == lru.TotalTime && aware.Evictions == lru.Evictions {
+		t.Errorf("access-aware ran exactly like LRU (total=%v evictions=%d)", aware.TotalTime, aware.Evictions)
+	}
+}

@@ -114,8 +114,7 @@ const (
 type cell struct {
 	idx       int
 	spec      CellSpec
-	label     string
-	hash      string
+	id        journal.Record // label, hash, seed, and scope; every record starts here
 	state     cellState
 	attempt   int       // lease grants consumed (1-based once granted)
 	notBefore time.Time // backoff gate while pending
@@ -183,10 +182,10 @@ func NewCoordinator(spec *sweep.Spec, cfg CoordinatorConfig) (*Coordinator, erro
 	}
 	co.cells = make([]*cell, len(configs))
 	for i, c := range configs {
-		label := c.Label(spec)
-		cl := &cell{idx: i, spec: cellSpecOf(spec, c), label: label, hash: journal.Hash(label)}
+		cs := spec.Cell(c)
+		cl := &cell{idx: i, spec: cs, id: cs.Record()}
 		co.cells[i] = cl
-		co.byHash[cl.hash] = cl
+		co.byHash[cl.id.Hash] = cl
 	}
 
 	var prior map[string]journal.Record
@@ -209,9 +208,9 @@ func NewCoordinator(spec *sweep.Spec, cfg CoordinatorConfig) (*Coordinator, erro
 		}
 	}
 	for _, cl := range co.cells {
-		rec, ok := prior[cl.hash]
-		if !ok {
-			continue
+		rec, ok := prior[cl.id.Hash]
+		if !ok || rec.Scope != cl.id.Scope {
+			continue // a record for another GPU memory or budget is not this cell's
 		}
 		switch govern.State(rec.Status) {
 		case govern.StateCompleted:
@@ -259,10 +258,9 @@ func (co *Coordinator) journalLocked(rec journal.Record) {
 }
 
 func (co *Coordinator) record(cl *cell, status string) journal.Record {
-	return journal.Record{
-		Label: cl.label, Hash: cl.hash, Seed: co.spec.Seed,
-		Status: status, Attempt: cl.attempt, Err: cl.errMsg,
-	}
+	rec := cl.id
+	rec.Status, rec.Attempt, rec.Err = status, cl.attempt, cl.errMsg
+	return rec
 }
 
 // expireLocked returns every overdue lease to the queue (or quarantine)
@@ -300,7 +298,7 @@ func (co *Coordinator) requeueLocked(cl *cell, now time.Time) {
 		if co.cfg.Log != nil {
 			co.cfg.Log.LogAttrs(context.Background(), slog.LevelWarn, "cell quarantined",
 				slog.String(telemetry.KeyTraceID, co.traceOf(cl)),
-				slog.String(telemetry.KeyConfigHash, cl.hash),
+				slog.String(telemetry.KeyConfigHash, cl.id.Hash),
 				slog.Int("attempt", cl.attempt),
 				slog.String("err", cl.errMsg))
 		}
@@ -316,7 +314,7 @@ func (co *Coordinator) requeueLocked(cl *cell, now time.Time) {
 		return
 	}
 	cl.state = cellPending
-	cl.notBefore = now.Add(Backoff(cl.attempt, co.cfg.BackoffBase, co.cfg.BackoffCap))
+	cl.notBefore = now.Add(govern.Backoff(cl.attempt, co.cfg.BackoffBase, co.cfg.BackoffCap))
 }
 
 // finishLocked settles the sweep: subsequent lease requests answer
@@ -381,7 +379,7 @@ func (co *Coordinator) Acquire(worker string) LeaseResponse {
 	co.leaseSeq++
 	pick.attempt++
 	pick.state = cellLeased
-	pick.leaseID = fmt.Sprintf("l%d-%s", co.leaseSeq, pick.hash)
+	pick.leaseID = fmt.Sprintf("l%d-%s", co.leaseSeq, pick.id.Hash)
 	pick.notBefore = now.Add(co.cfg.LeaseTTL) // lease deadline
 	pick.errMsg = ""
 	co.leases[pick.leaseID] = pick
@@ -395,14 +393,14 @@ func (co *Coordinator) Acquire(worker string) LeaseResponse {
 			slog.String(telemetry.KeyTraceID, co.traceOf(pick)),
 			slog.String("lease_id", pick.leaseID),
 			slog.String("worker", worker),
-			slog.String(telemetry.KeyConfigHash, pick.hash),
+			slog.String(telemetry.KeyConfigHash, pick.id.Hash),
 			slog.Int("attempt", pick.attempt),
-			slog.String("label", pick.label))
+			slog.String("label", pick.id.Label))
 	}
 	spec := pick.spec
 	return LeaseResponse{
 		LeaseID: pick.leaseID, Cell: &spec, Index: pick.idx,
-		Label: pick.label, Hash: pick.hash, Attempt: pick.attempt,
+		Label: pick.id.Label, Hash: pick.id.Hash, Attempt: pick.attempt,
 		TTLMs:   co.cfg.LeaseTTL.Milliseconds(),
 		TraceID: co.traceOf(pick),
 	}
@@ -492,7 +490,7 @@ func (co *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 			slog.String(telemetry.KeyTraceID, co.traceOf(cl)),
 			slog.String("lease_id", req.LeaseID),
 			slog.String("worker", req.Worker),
-			slog.String(telemetry.KeyConfigHash, cl.hash),
+			slog.String(telemetry.KeyConfigHash, cl.id.Hash),
 			slog.String("state", req.Status),
 			slog.String("err", req.Err))
 	}
@@ -601,7 +599,7 @@ func (co *Coordinator) Wait(ctx context.Context) (*sweep.Result, error) {
 	}
 	for i, cl := range co.cells {
 		res.Statuses[i] = sweep.CellStatus{
-			Label: cl.label, Hash: cl.hash, State: cl.status,
+			Label: cl.id.Label, Hash: cl.id.Hash, State: cl.status,
 			Err: cl.errMsg, Attempts: cl.attempt, Reused: cl.reused,
 		}
 		if cl.reused {

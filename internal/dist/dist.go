@@ -32,15 +32,7 @@
 // govern.StateQuarantined.
 package dist
 
-import (
-	"time"
-
-	"uvmsim/internal/driver"
-	"uvmsim/internal/multigpu"
-	"uvmsim/internal/serve"
-	"uvmsim/internal/sim"
-	"uvmsim/internal/sweep"
-)
+import "uvmsim/internal/sweep"
 
 // Journal audit statuses written by the coordinator alongside the
 // govern terminal states. They are not govern states: on a
@@ -54,142 +46,11 @@ const (
 	StatusExpired = "expired"
 )
 
-// CellSpec is the self-contained wire form of one sweep cell: every
-// knob a stateless worker needs to run the cell locally and reproduce
-// the coordinator's label byte-for-byte.
-type CellSpec struct {
-	Workload       string  `json:"workload"`
-	GPUMemoryBytes int64   `json:"gpu_mem_bytes"`
-	Seed           uint64  `json:"seed"`
-	Footprint      float64 `json:"footprint"`
-	Prefetch       string  `json:"prefetch"`
-	Replay         string  `json:"replay"`
-	Evict          string  `json:"evict"`
-	Batch          int     `json:"batch"`
-	VABlockBytes   int64   `json:"vablock_bytes"`
-	// Gpus and Migration are set only on multi-GPU cells (zero-value
-	// elision): a K=1 cell serializes exactly as it did before the axes
-	// existed, so mixed-version fleets agree on every single-GPU label.
-	Gpus      int    `json:"gpus,omitempty"`
-	Migration string `json:"migration,omitempty"`
-	// Deterministic per-cell budgets (see sim.Budget); part of the spec
-	// because a budget trip is a property of the cell, not the worker.
-	SimDeadlineNs  int64  `json:"sim_deadline_ns,omitempty"`
-	MaxEvents      uint64 `json:"max_events,omitempty"`
-	LivelockWindow uint64 `json:"livelock_window,omitempty"`
-}
-
-// cellSpecOf flattens one resolved cell of a sweep into its wire form.
-func cellSpecOf(s *sweep.Spec, c sweep.Config) CellSpec {
-	cs := CellSpec{
-		Workload:       s.Workload,
-		GPUMemoryBytes: s.GPUMemoryBytes,
-		Seed:           s.Seed,
-		Footprint:      c.Footprint,
-		Prefetch:       c.Prefetch,
-		Replay:         c.Replay.String(),
-		Evict:          c.Evict,
-		Batch:          c.Batch,
-		VABlockBytes:   c.VABlock,
-		SimDeadlineNs:  int64(s.Budget.SimDeadline),
-		MaxEvents:      s.Budget.MaxEvents,
-		LivelockWindow: s.Budget.LivelockWindow,
-	}
-	if c.GPUs > 1 {
-		cs.Gpus = c.GPUs
-		cs.Migration = c.Migration.String()
-	}
-	return cs
-}
-
-// Spec lifts the cell back into a singleton sweep spec, the worker-side
-// execution form. Rendering a singleton sweep reuses the exact
-// validation, governance, and row-rendering path the single-process
-// sweep runs, which is what makes distributed rows byte-identical.
-func (cs CellSpec) Spec() *sweep.Spec {
-	sp := &sweep.Spec{
-		Workload:       cs.Workload,
-		GPUMemoryBytes: cs.GPUMemoryBytes,
-		Seed:           cs.Seed,
-		Footprints:     []float64{cs.Footprint},
-		Prefetch:       []string{cs.Prefetch},
-		Replay:         []string{cs.Replay},
-		Evict:          []string{cs.Evict},
-		Batch:          []int{cs.Batch},
-		VABlock:        []int64{cs.VABlockBytes},
-		Jobs:           1,
-		Budget: sim.Budget{
-			SimDeadline:    sim.Time(cs.SimDeadlineNs),
-			MaxEvents:      cs.MaxEvents,
-			LivelockWindow: cs.LivelockWindow,
-		},
-	}
-	if cs.Gpus > 1 {
-		sp.GPUs = []int{cs.Gpus}
-		sp.Migration = []string{cs.Migration}
-	}
-	return sp
-}
-
-// SimRequest maps the cell onto the serve tier's single-cell wire form.
-// ok is false when the wire form cannot express the cell exactly
-// (fractional MiB/ms, zero knobs the server would re-default) — such a
-// cell must be simulated locally, never approximated through the tier.
-func (cs CellSpec) SimRequest() (serve.SimRequest, bool) {
-	const mib = int64(1) << 20
-	ms := int64(time.Millisecond)
-	if cs.GPUMemoryBytes%mib != 0 || cs.SimDeadlineNs%ms != 0 ||
-		cs.Workload == "" || cs.Prefetch == "" || cs.Replay == "" || cs.Evict == "" ||
-		cs.Batch == 0 || cs.VABlockBytes%1024 != 0 || cs.VABlockBytes == 0 || cs.Footprint == 0 {
-		return serve.SimRequest{}, false
-	}
-	req := serve.SimRequest{
-		Workload:   cs.Workload,
-		GPUMemMiB:  cs.GPUMemoryBytes / mib,
-		Seed:       cs.Seed,
-		Footprint:  cs.Footprint,
-		Prefetch:   cs.Prefetch,
-		Replay:     cs.Replay,
-		Evict:      cs.Evict,
-		Batch:      cs.Batch,
-		VABlockKiB: cs.VABlockBytes >> 10,
-		Budget: serve.BudgetRequest{
-			SimBudgetMs:    cs.SimDeadlineNs / ms,
-			MaxEvents:      cs.MaxEvents,
-			LivelockEvents: cs.LivelockWindow,
-		},
-	}
-	if cs.Gpus > 1 {
-		g := cs.Gpus
-		req.Gpus = &g
-		req.Migration = cs.Migration
-	}
-	return req, true
-}
-
-// Label recomputes the cell's replay recipe. Workers verify it against
-// the coordinator's label so a protocol or version skew is caught
-// before any simulation runs under the wrong identity.
-func (cs CellSpec) Label() (string, error) {
-	pol, err := driver.ParseReplayPolicy(cs.Replay)
-	if err != nil {
-		return "", err
-	}
-	s := cs.Spec()
-	c := sweep.Config{
-		Footprint: cs.Footprint, Prefetch: cs.Prefetch, Replay: pol,
-		Evict: cs.Evict, Batch: cs.Batch, VABlock: cs.VABlockBytes,
-	}
-	if cs.Gpus > 1 {
-		mpol, err := multigpu.ParsePolicy(cs.Migration)
-		if err != nil {
-			return "", err
-		}
-		c.GPUs = cs.Gpus
-		c.Migration = mpol
-	}
-	return c.Label(s), nil
-}
+// CellSpec is the wire form of one sweep cell: the canonical
+// sweep.Cell, which carries every knob a stateless worker needs to run
+// the cell and reproduce the coordinator's label byte for byte. The
+// alias survives for callers that name the fabric's cell type.
+type CellSpec = sweep.Cell
 
 // ---- wire messages ----
 
@@ -276,20 +137,4 @@ type Status struct {
 // Settled reports whether every cell is terminal.
 func (st Status) Settled() bool {
 	return st.Completed+st.Skipped+st.Quarantined == st.Total
-}
-
-// Backoff is the capped exponential reassignment backoff: attempt n
-// (1-based count of grants already consumed) waits base<<(n-1), capped.
-func Backoff(n int, base, cap time.Duration) time.Duration {
-	if n < 1 {
-		n = 1
-	}
-	d := base
-	for i := 1; i < n && d < cap; i++ {
-		d *= 2
-	}
-	if d > cap {
-		d = cap
-	}
-	return d
 }

@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"path/filepath"
@@ -63,26 +64,6 @@ func (co *Coordinator) counter(t *testing.T, name string) uint64 {
 	return 0
 }
 
-func TestBackoff(t *testing.T) {
-	base, cap := 100*time.Millisecond, time.Second
-	for _, tc := range []struct {
-		n    int
-		want time.Duration
-	}{
-		{0, 100 * time.Millisecond}, // clamped to 1
-		{1, 100 * time.Millisecond},
-		{2, 200 * time.Millisecond},
-		{3, 400 * time.Millisecond},
-		{4, 800 * time.Millisecond},
-		{5, time.Second}, // capped
-		{50, time.Second},
-	} {
-		if got := Backoff(tc.n, base, cap); got != tc.want {
-			t.Errorf("Backoff(%d) = %s, want %s", tc.n, got, tc.want)
-		}
-	}
-}
-
 // The wire form must reproduce the coordinator's label exactly — the
 // label is the journal identity, so any skew would corrupt recovery.
 func TestCellSpecLabelRoundTrip(t *testing.T) {
@@ -94,12 +75,16 @@ func TestCellSpecLabelRoundTrip(t *testing.T) {
 	defer co.Close()
 	configs, _ := s.Configs()
 	for i, c := range configs {
-		cs := cellSpecOf(s, c)
-		label, err := cs.Label()
+		lr := co.Acquire("w")
+		raw, err := json.Marshal(lr)
 		if err != nil {
+			t.Fatal(err)
+		}
+		var wire LeaseResponse
+		if err := json.Unmarshal(raw, &wire); err != nil {
 			t.Fatalf("cell %d: %v", i, err)
 		}
-		if want := c.Label(s); label != want {
+		if label, want := wire.Cell.Label(), c.Label(s); label != want || wire.Label != want {
 			t.Errorf("cell %d label skew:\n  wire   %q\n  direct %q", i, label, want)
 		}
 	}
@@ -591,5 +576,42 @@ func TestStopSettlesEarly(t *testing.T) {
 	}
 	if len(res.Table.Rows) != 1 || res.Skipped != 5 {
 		t.Fatalf("stopped result: %d rows, %d skipped; want 1 and 5", len(res.Table.Rows), res.Skipped)
+	}
+}
+
+// A resumed coordinator reuses only records journaled for the same cell.
+// The label omits GPU memory and budgets, so a journal written under
+// other values shares every hash, yet none of its records may be reused.
+func TestCoordinatorResumeMatchesScope(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "sweep.jsonl")
+	at32 := func() *sweep.Spec {
+		s := smallSpec()
+		s.GPUMemoryBytes = 32 << 20
+		return s
+	}
+	s := at32()
+	s.Journal = jpath
+	if _, err := s.RunContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	budgeted := at32()
+	budgeted.Budget.LivelockWindow = 1 << 20
+	for _, tc := range []struct {
+		name   string
+		spec   *sweep.Spec
+		reused int
+	}{
+		{"other GPU memory", smallSpec(), 0},
+		{"other budget", budgeted, 0},
+		{"same cells", at32(), 6},
+	} {
+		co, err := NewCoordinator(tc.spec, CoordinatorConfig{Journal: jpath, Resume: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := co.Progress(); st.Reused != tc.reused || st.Completed != tc.reused {
+			t.Errorf("%s: resumed status = %+v, want %d reused", tc.name, st, tc.reused)
+		}
+		co.Close()
 	}
 }

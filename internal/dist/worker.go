@@ -76,7 +76,7 @@ func ServeRunner(sc *client.Client, fallback Runner, lg *slog.Logger) Runner {
 // exact, and returns the cached row (plus the server's content hash)
 // on a completed answer.
 func serveLookup(ctx context.Context, sc *client.Client, cs CellSpec) ([]string, string, bool) {
-	req, ok := cs.SimRequest()
+	req, ok := serve.SimRequestOf(cs)
 	if !ok {
 		return nil, "", false // the wire form cannot express this cell exactly
 	}
@@ -251,9 +251,9 @@ func (w *Worker) runLease(ctx context.Context, lr LeaseResponse) {
 		slog.String("label", lr.Label))
 	// Verify the wire spec reproduces the coordinator's label: a skew
 	// here would journal results under the wrong identity.
-	if label, err := lr.Cell.Label(); err != nil || label != lr.Label {
+	if label := lr.Cell.Label(); label != lr.Label {
 		w.report(ctx, lr, govern.StateFailed, nil,
-			fmt.Sprintf("label skew: coordinator %q vs worker %q (err %v)", lr.Label, label, err))
+			fmt.Sprintf("label skew: coordinator %q vs worker %q", lr.Label, label))
 		return
 	}
 	if w.cfg.SlowStart > 0 && !sleepCtx(ctx, w.cfg.SlowStart) {

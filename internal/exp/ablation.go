@@ -162,9 +162,6 @@ func AblationEviction(sc Scale) ([]*stats.Table, error) {
 				func() (func(), error) {
 					cfg := sc.sysConfig()
 					cfg.EvictPolicy = pol
-					if pol == "access-aware" {
-						cfg.GPU.AccessCounters = true
-					}
 					var cell *cellResult
 					var err error
 					if w.name == "sgemm" {

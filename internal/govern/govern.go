@@ -13,6 +13,7 @@ import (
 	"errors"
 	"net/http"
 	"sync/atomic"
+	"time"
 
 	"uvmsim/internal/parallel"
 	"uvmsim/internal/sim"
@@ -202,4 +203,15 @@ func ExitCode(s State) int {
 	default:
 		return ExitFailure
 	}
+}
+
+// Backoff is the capped exponential pause before retry n (1-based; n < 1
+// counts as 1): base doubled n-1 times, never above cap. Sweep cell
+// retries, dist lease reassignment, and the serve client share it.
+func Backoff(n int, base, cap time.Duration) time.Duration {
+	d := base
+	for i := 1; i < n && d < cap; i++ {
+		d *= 2
+	}
+	return min(d, cap)
 }

@@ -126,3 +126,23 @@ func TestWatchContextNilAndBackground(t *testing.T) {
 		t.Fatal("background context flag fired")
 	}
 }
+
+func TestBackoff(t *testing.T) {
+	base, cap := 100*time.Millisecond, time.Second
+	for _, tc := range []struct {
+		n    int
+		want time.Duration
+	}{
+		{0, 100 * time.Millisecond}, // clamped to 1
+		{1, 100 * time.Millisecond},
+		{2, 200 * time.Millisecond},
+		{3, 400 * time.Millisecond},
+		{4, 800 * time.Millisecond},
+		{5, time.Second}, // capped
+		{50, time.Second},
+	} {
+		if got := Backoff(tc.n, base, cap); got != tc.want {
+			t.Errorf("Backoff(%d) = %s, want %s", tc.n, got, tc.want)
+		}
+	}
+}

@@ -62,7 +62,8 @@ type Config struct {
 	// timing, reproducing the paper's "no fixed ordering" observation.
 	JitterFrac float64
 	// AccessCounters enables Volta-style memory access counters
-	// (required by the access-aware eviction extension).
+	// (required by the access-aware eviction extension; core.NewSystem
+	// turns them on whenever that policy is selected).
 	AccessCounters bool
 }
 

@@ -45,6 +45,8 @@ type Record struct {
 	// Seed is the simulation seed, duplicated out of the label for
 	// tooling.
 	Seed uint64 `json:"seed"`
+	// Scope carries the cell identity the label leaves out.
+	Scope
 	// Status is the govern.State string: completed, cancelled, deadline,
 	// livelock, panicked, failed.
 	Status string `json:"status"`
@@ -56,6 +58,20 @@ type Record struct {
 	Row []string `json:"row,omitempty"`
 	// Digest authenticates Row (see RowDigest).
 	Digest string `json:"digest,omitempty"`
+}
+
+// Scope is the part of a cell's identity its label leaves out: GPU
+// memory and the deterministic budgets. They are sweep-wide settings
+// that stay out of labels so every historical label and confighash
+// survives, which means two different cells can share a hash. Resume
+// therefore reuses a record only when its Scope equals the cell's. A
+// record written before Scope existed decodes with zero GPU memory,
+// matches no cell, and reruns.
+type Scope struct {
+	GPUMemoryBytes int64  `json:"gpu_mem_bytes,omitempty"`
+	SimDeadlineNs  int64  `json:"sim_deadline_ns,omitempty"`
+	MaxEvents      uint64 `json:"max_events,omitempty"`
+	LivelockWindow uint64 `json:"livelock_window,omitempty"`
 }
 
 // Hash derives the configuration key for a cell label via the shared

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"uvmsim/internal/confighash"
-	"uvmsim/internal/multigpu"
 	"uvmsim/internal/sim"
 	"uvmsim/internal/stats"
 	"uvmsim/internal/sweep"
@@ -84,6 +83,43 @@ type SimRequest struct {
 	// TimeoutMs bounds the request on the host clock. It is not part of
 	// the cache key: a timed-out run is cancelled and never cached.
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
+}
+
+// SimRequestOf maps a sweep cell onto the single-cell wire form, the
+// inverse of SimRequest.sweepRequest. ok is false when the wire form
+// cannot express the cell exactly (fractional MiB/ms, zero knobs the
+// server would re-default) — such a cell must be simulated locally,
+// never approximated through the serve tier.
+func SimRequestOf(c sweep.Cell) (SimRequest, bool) {
+	const mib = int64(1) << 20
+	ms := int64(time.Millisecond)
+	if c.GPUMemoryBytes%mib != 0 || c.SimDeadlineNs%ms != 0 ||
+		c.Workload == "" || c.Prefetch == "" || c.Replay == "" || c.Evict == "" ||
+		c.Batch == 0 || c.VABlockBytes%1024 != 0 || c.VABlockBytes == 0 || c.Footprint == 0 {
+		return SimRequest{}, false
+	}
+	req := SimRequest{
+		Workload:   c.Workload,
+		GPUMemMiB:  c.GPUMemoryBytes / mib,
+		Seed:       c.Seed,
+		Footprint:  c.Footprint,
+		Prefetch:   c.Prefetch,
+		Replay:     c.Replay,
+		Evict:      c.Evict,
+		Batch:      c.Batch,
+		VABlockKiB: c.VABlockBytes >> 10,
+		Budget: BudgetRequest{
+			SimBudgetMs:    c.SimDeadlineNs / ms,
+			MaxEvents:      c.MaxEvents,
+			LivelockEvents: c.LivelockWindow,
+		},
+	}
+	if c.Gpus > 1 {
+		g := c.Gpus
+		req.Gpus = &g
+		req.Migration = c.Migration
+	}
+	return req, true
 }
 
 // sweepRequest lifts the single cell into a singleton sweep so both
@@ -157,58 +193,12 @@ func (r SweepRequest) withDefaults() SweepRequest {
 	if r.GPUMemMiB == 0 {
 		r.GPUMemMiB = DefaultGPUMemMiB
 	}
-	fill := func(s []string, def string) []string {
-		if len(s) == 0 {
-			return []string{def}
-		}
-		out := make([]string, len(s))
-		for i, v := range s {
-			if v == "" {
-				v = def
-			}
-			out[i] = v
-		}
-		return out
-	}
-	if len(r.Footprints) == 0 {
-		r.Footprints = []float64{DefaultFootprint}
-	} else {
-		fp := make([]float64, len(r.Footprints))
-		for i, v := range r.Footprints {
-			if v == 0 {
-				v = DefaultFootprint
-			}
-			fp[i] = v
-		}
-		r.Footprints = fp
-	}
-	r.Prefetch = fill(r.Prefetch, DefaultPrefetch)
-	r.Replay = fill(r.Replay, DefaultReplay)
-	r.Evict = fill(r.Evict, DefaultEvict)
-	if len(r.Batch) == 0 {
-		r.Batch = []int{DefaultBatch}
-	} else {
-		b := make([]int, len(r.Batch))
-		for i, v := range r.Batch {
-			if v == 0 {
-				v = DefaultBatch
-			}
-			b[i] = v
-		}
-		r.Batch = b
-	}
-	if len(r.VABlockKiB) == 0 {
-		r.VABlockKiB = []int64{DefaultVABlockKiB}
-	} else {
-		vb := make([]int64, len(r.VABlockKiB))
-		for i, v := range r.VABlockKiB {
-			if v == 0 {
-				v = DefaultVABlockKiB
-			}
-			vb[i] = v
-		}
-		r.VABlockKiB = vb
-	}
+	r.Footprints = withDefault(r.Footprints, DefaultFootprint)
+	r.Prefetch = withDefault(r.Prefetch, DefaultPrefetch)
+	r.Replay = withDefault(r.Replay, DefaultReplay)
+	r.Evict = withDefault(r.Evict, DefaultEvict)
+	r.Batch = withDefault(r.Batch, DefaultBatch)
+	r.VABlockKiB = withDefault(r.VABlockKiB, DefaultVABlockKiB)
 	// Canonicalize the multi-GPU axes. A request whose every device count
 	// is 1 is the single-GPU request — migration collapses at K=1, so the
 	// axes are cleared and the fingerprint (and cache identity) matches
@@ -220,11 +210,28 @@ func (r SweepRequest) withDefaults() SweepRequest {
 		if len(r.Migration) == 0 {
 			r.Migration = []string{"first-touch"}
 		}
-	} else if legalSingleGPU(r.Gpus) && legalPolicies(r.Migration) {
+	} else if sweep.EffectivelySingleGPU(r.Gpus, r.Migration) {
 		r.Gpus = nil
 		r.Migration = nil
 	}
 	return r
+}
+
+// withDefault returns a copy of list with zero entries replaced by def;
+// an empty list becomes [def].
+func withDefault[T comparable](list []T, def T) []T {
+	if len(list) == 0 {
+		return []T{def}
+	}
+	out := make([]T, len(list))
+	var zero T
+	for i, v := range list {
+		if v == zero {
+			v = def
+		}
+		out[i] = v
+	}
+	return out
 }
 
 // multiGPU reports whether any requested device count exceeds one.
@@ -235,28 +242,6 @@ func (r SweepRequest) multiGPU() bool {
 		}
 	}
 	return false
-}
-
-// legalSingleGPU reports whether gpus contains only the value 1 (or is
-// empty) — the only shape safe to canonicalize away.
-func legalSingleGPU(gpus []int) bool {
-	for _, g := range gpus {
-		if g != 1 {
-			return false
-		}
-	}
-	return true
-}
-
-// legalPolicies reports whether every migration name parses; unknown
-// names must survive canonicalization so validation can 400 them.
-func legalPolicies(names []string) bool {
-	for _, n := range names {
-		if _, err := multigpu.ParsePolicy(n); err != nil {
-			return false
-		}
-	}
-	return true
 }
 
 // spec converts the defaulted request into a validated sweep spec under

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"uvmsim/internal/govern"
 )
 
 // RetryPolicy is the client's opt-in retry behaviour for transient
@@ -77,22 +79,10 @@ func (p RetryPolicy) clock() time.Time {
 	return time.Now()
 }
 
-// backoff is the capped exponential pause before retry n (1-based).
-func (p RetryPolicy) backoff(n int) time.Duration {
-	d := p.Base
-	for i := 1; i < n && d < p.Cap; i++ {
-		d *= 2
-	}
-	if d > p.Cap {
-		d = p.Cap
-	}
-	return d
-}
-
 // wait picks the pause before retry n: the server's hint when one was
 // sent (capped), the backoff otherwise, jittered either way.
 func (p RetryPolicy) wait(n int, retryAfter time.Duration) time.Duration {
-	d := p.backoff(n)
+	d := govern.Backoff(n, p.Base, p.Cap)
 	if retryAfter > 0 {
 		d = retryAfter
 		if d > p.MaxRetryAfter {

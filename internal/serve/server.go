@@ -325,21 +325,20 @@ func (s *Server) runSweep(ctx context.Context, spec *sweep.Spec, onProgress func
 	return body, st, err
 }
 
-// prepare validates a request and derives its spec, cell count, and
-// content hash. Validation errors surface before any admission or
-// compute cost.
-func (s *Server) prepare(shape string, req SweepRequest) (SweepRequest, *sweep.Spec, int, string, error) {
+// prepare validates a request and derives its spec, cells, and content
+// hash. Validation errors surface before any admission or compute cost.
+func (s *Server) prepare(shape string, req SweepRequest) (SweepRequest, *sweep.Spec, []sweep.Config, string, error) {
 	req = req.withDefaults()
 	spec := req.spec(s.cfg.DefaultBudget, s.cfg.BudgetCap)
 	configs, err := spec.Configs() // validates every dimension up front
 	if err != nil {
-		return req, nil, 0, "", err
+		return req, nil, nil, "", err
 	}
 	if len(configs) > s.cfg.MaxCells {
-		return req, nil, 0, "", fmt.Errorf("serve: sweep has %d cells, limit %d", len(configs), s.cfg.MaxCells)
+		return req, nil, nil, "", fmt.Errorf("serve: sweep has %d cells, limit %d", len(configs), s.cfg.MaxCells)
 	}
 	hash := hashOf(req.fingerprint(shape, spec.Budget))
-	return req, spec, len(configs), hash, nil
+	return req, spec, configs, hash, nil
 }
 
 func buildSweepResponse(hash string, res *sweep.Result, st govern.State, cells int) *SweepResponse {
@@ -370,15 +369,12 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.inc(mRequests)
-	sreq, spec, _, hash, err := s.prepare("sim", req.sweepRequest())
+	sreq, spec, configs, hash, err := s.prepare("sim", req.sweepRequest())
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	label := "" // the singleton cell's replay recipe
-	if configs, err := spec.Configs(); err == nil && len(configs) == 1 {
-		label = configs[0].Label(spec)
-	}
+	label := configs[0].Label(spec) // the singleton cell's replay recipe
 	body, status, src, err := s.cache.Do(r.Context(), hash, func() ([]byte, int, bool, error) {
 		return s.admitAndRun(sreq.TimeoutMs, func(ctx context.Context) ([]byte, govern.State, error) {
 			return s.runSweep(ctx, spec, nil, func(res *sweep.Result, st govern.State) (interface{}, error) {
@@ -417,16 +413,13 @@ func (s *Server) handleCacheFill(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("cachefill: row has %d columns, want %d", len(req.Row), len(sweep.Headers())))
 		return
 	}
-	_, spec, _, hash, err := s.prepare("sim", req.Sim.sweepRequest())
+	_, spec, configs, hash, err := s.prepare("sim", req.Sim.sweepRequest())
 	if err != nil {
 		s.met.inc(mFillRejected)
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	label := ""
-	if configs, cerr := spec.Configs(); cerr == nil && len(configs) == 1 {
-		label = configs[0].Label(spec)
-	}
+	label := configs[0].Label(spec)
 	if req.Label != "" && req.Label != label {
 		s.met.inc(mFillRejected)
 		s.writeError(w, http.StatusBadRequest,
@@ -462,7 +455,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.inc(mRequests)
-	sreq, spec, cells, hash, err := s.prepare("sweep", req)
+	sreq, spec, configs, hash, err := s.prepare("sweep", req)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -470,7 +463,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	body, status, src, err := s.cache.Do(r.Context(), hash, func() ([]byte, int, bool, error) {
 		return s.admitAndRun(sreq.TimeoutMs, func(ctx context.Context) ([]byte, govern.State, error) {
 			return s.runSweep(ctx, spec, nil, func(res *sweep.Result, st govern.State) (interface{}, error) {
-				return buildSweepResponse(hash, res, st, cells), nil
+				return buildSweepResponse(hash, res, st, len(configs)), nil
 			})
 		})
 	})
@@ -483,7 +476,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.inc(mRequests)
-	sreq, spec, cells, hash, err := s.prepare("sweep", req)
+	sreq, spec, configs, hash, err := s.prepare("sweep", req)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -498,13 +491,13 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	go func() {
 		defer s.wg.Done()
 		defer s.jobs.settle()
-		j.start(cells)
+		j.start(len(configs))
 		// Async jobs outlive their submitting connection, so the
 		// coalesced-wait context is the server lifecycle, not the request.
 		body, status, _, err := s.cache.Do(s.base, hash, func() ([]byte, int, bool, error) {
 			return s.admitAndRun(sreq.TimeoutMs, func(ctx context.Context) ([]byte, govern.State, error) {
 				return s.runSweep(ctx, spec, j.progress, func(res *sweep.Result, st govern.State) (interface{}, error) {
-					return buildSweepResponse(hash, res, st, cells), nil
+					return buildSweepResponse(hash, res, st, len(configs)), nil
 				})
 			})
 		})

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"uvmsim/internal/sim"
@@ -18,26 +19,13 @@ type Histogram struct {
 	max     sim.Duration
 }
 
+// bucketOf maps d to its log2 bucket: 0 for d <= 0, otherwise the bit
+// length of d, which for a positive int64 is at most 63.
 func bucketOf(d sim.Duration) int {
 	if d <= 0 {
 		return 0
 	}
-	b := 64 - leadingZeros(uint64(d))
-	if b > 63 {
-		b = 63
-	}
-	return b
-}
-
-func leadingZeros(x uint64) int {
-	n := 0
-	for i := 63; i >= 0; i-- {
-		if x&(1<<uint(i)) != 0 {
-			return n
-		}
-		n++
-	}
-	return 64
+	return 64 - bits.LeadingZeros64(uint64(d))
 }
 
 // Observe records one duration.

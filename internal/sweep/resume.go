@@ -21,22 +21,7 @@ const (
 )
 
 // retrySleep is time.Sleep behind a variable so tests retry instantly.
-var retrySleep = retrySleepHost
-
-func retrySleepHost(d time.Duration) { time.Sleep(d) }
-
-// retryBackoff returns the host-side pause before retry attempt n
-// (n = 1 is the first retry).
-func retryBackoff(n int) time.Duration {
-	d := retryBase
-	for i := 1; i < n && d < retryCap; i++ {
-		d *= 2
-	}
-	if d > retryCap {
-		d = retryCap
-	}
-	return d
-}
+var retrySleep = time.Sleep
 
 // CellStatus is one cell's terminal governance outcome.
 type CellStatus struct {
@@ -162,12 +147,13 @@ func (s *Spec) RunContext(ctx context.Context) (*Result, error) {
 			defer func() { s.Progress(int(settled.Add(1)), len(configs)) }()
 		}
 		c := configs[i]
-		label := c.Label(s)
+		id := s.Cell(c).Record()
 		st := &statuses[i]
-		st.Label = label
-		st.Hash = journal.Hash(label)
+		st.Label, st.Hash = id.Label, id.Hash
 
-		if rec, ok := prior[st.Hash]; ok {
+		// A record is reused only for the same cell: same hash and the
+		// same GPU memory and budgets, which the label leaves out.
+		if rec, ok := prior[id.Hash]; ok && rec.Scope == id.Scope {
 			switch govern.State(rec.Status) {
 			case govern.StateCompleted:
 				st.State, st.Attempts, st.Reused = govern.StateCompleted, rec.Attempt, true
@@ -185,11 +171,9 @@ func (s *Spec) RunContext(ctx context.Context) (*Result, error) {
 			row, err := safeRunConfig(s, c, i)
 			rs := govern.StatusOf(err)
 			st.State, st.Err, st.Attempts = rs.State, rs.Err, attempt
-			s.setCellStatus(label, rs.State)
-			rec := journal.Record{
-				Label: label, Hash: st.Hash, Seed: s.Seed,
-				Status: string(rs.State), Attempt: attempt, Err: rs.Err,
-			}
+			s.setCellStatus(id.Label, rs.State)
+			rec := id
+			rec.Status, rec.Attempt, rec.Err = string(rs.State), attempt, rs.Err
 			if rs.State == govern.StateCompleted {
 				rendered := stats.RenderCells(row...)
 				rec.Row, rec.Digest = rendered, journal.RowDigest(rendered)
@@ -202,7 +186,7 @@ func (s *Spec) RunContext(ctx context.Context) (*Result, error) {
 				return nil, jerr
 			}
 			if rs.State.Retryable() && attempt <= s.Retries {
-				retrySleep(retryBackoff(attempt))
+				retrySleep(govern.Backoff(attempt, retryBase, retryCap))
 				continue
 			}
 			switch rs.State {
@@ -214,9 +198,9 @@ func (s *Spec) RunContext(ctx context.Context) (*Result, error) {
 				// what the caller reports — a drained cell is not a failure.
 				return nil, nil
 			case govern.StatePanicked:
-				return nil, fmt.Errorf("sweep cell %s crashed (rerun with -jobs 1 to reproduce): %w", label, err)
+				return nil, fmt.Errorf("sweep cell %s crashed (rerun with -jobs 1 to reproduce): %w", id.Label, err)
 			default:
-				return nil, fmt.Errorf("sweep cell %s: %w", label, err)
+				return nil, fmt.Errorf("sweep cell %s: %w", id.Label, err)
 			}
 		}
 	}

@@ -30,8 +30,8 @@ func TestRetryBackoffShape(t *testing.T) {
 		800 * time.Millisecond, 1600 * time.Millisecond, 2 * time.Second, 2 * time.Second,
 	}
 	for i, w := range want {
-		if got := retryBackoff(i + 1); got != w {
-			t.Errorf("retryBackoff(%d) = %v, want %v", i+1, got, w)
+		if got := govern.Backoff(i+1, retryBase, retryCap); got != w {
+			t.Errorf("Backoff(%d) = %v, want %v", i+1, got, w)
 		}
 	}
 }
@@ -249,5 +249,85 @@ func TestSweepCancelReturnsPartialResult(t *testing.T) {
 		if st == govern.StateCompleted && r.Digest != journal.RowDigest(r.Row) {
 			t.Fatalf("journal record %+v has a bad digest", r)
 		}
+	}
+}
+
+// resumeTable runs s against the journal at jpath, optionally resuming,
+// and returns the rendered table and the result.
+func resumeTable(t *testing.T, s *Spec, jpath string, resume bool) ([]byte, *Result) {
+	t.Helper()
+	s.Journal, s.Resume = jpath, resume
+	res, err := s.RunContext(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := res.Table.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), res
+}
+
+// A journal written on a 32 MiB GPU must not satisfy a resume on a
+// 16 MiB GPU: the label omits GPU memory, so the hashes collide, but the
+// rows differ.
+func TestSweepResumeIgnoresOtherGPUMemory(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "sweep.jsonl")
+	big := smallSpec()
+	big.GPUMemoryBytes = 32 << 20
+	resumeTable(t, big, jpath, false)
+
+	fresh, _ := resumeTable(t, smallSpec(), filepath.Join(t.TempDir(), "fresh.jsonl"), false)
+	resumed, res := resumeTable(t, smallSpec(), jpath, true)
+	if res.Reused != 0 {
+		t.Errorf("reused %d records journaled at 32 MiB", res.Reused)
+	}
+	if !bytes.Equal(resumed, fresh) {
+		t.Errorf("resumed table differs from a fresh 16 MiB run:\n--- fresh ---\n%s--- resumed ---\n%s", fresh, resumed)
+	}
+}
+
+// A deadline verdict reached under an event budget must not be reused
+// once the budget is removed: the unbudgeted cell completes.
+func TestSweepResumeIgnoresOtherBudget(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "sweep.jsonl")
+	tight := smallSpec()
+	tight.Budget = sim.Budget{MaxEvents: 1000}
+	_, res := resumeTable(t, tight, jpath, false)
+	if res.Counts()[govern.StateDeadline] == 0 {
+		t.Fatalf("budgeted run tripped no deadline: %v", res.Counts())
+	}
+
+	fresh, _ := resumeTable(t, smallSpec(), filepath.Join(t.TempDir(), "fresh.jsonl"), false)
+	resumed, res := resumeTable(t, smallSpec(), jpath, true)
+	if res.Reused != 0 || res.Counts()[govern.StateDeadline] != 0 {
+		t.Errorf("reused %d budgeted verdicts (counts %v)", res.Reused, res.Counts())
+	}
+	if !bytes.Equal(resumed, fresh) {
+		t.Errorf("resumed table differs from a fresh unbudgeted run:\n--- fresh ---\n%s--- resumed ---\n%s", fresh, resumed)
+	}
+}
+
+// A record from a journal that predates the scope fields is never
+// reused: the cell reruns, and the table is still byte-identical.
+func TestSweepResumeRerunsScopelessRecords(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "sweep.jsonl")
+	clean, _ := resumeTable(t, smallSpec(), jpath, false)
+	recs, err := journal.Load(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range recs {
+		recs[i].Scope = journal.Scope{}
+	}
+	if err := journal.Compact(jpath, recs); err != nil {
+		t.Fatal(err)
+	}
+	resumed, res := resumeTable(t, smallSpec(), jpath, true)
+	if res.Reused != 0 {
+		t.Errorf("reused %d scopeless records", res.Reused)
+	}
+	if !bytes.Equal(resumed, clean) {
+		t.Errorf("resumed table differs from clean run")
 	}
 }

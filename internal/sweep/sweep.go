@@ -15,7 +15,6 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"uvmsim/internal/core"
 	"uvmsim/internal/driver"
@@ -33,8 +32,7 @@ type Spec struct {
 	Workload string
 	// GPUMemoryBytes is the framebuffer size per cell.
 	GPUMemoryBytes int64
-	// Seed drives all randomness (workload params derive Seed+100, as
-	// the paper-reproduction experiments do).
+	// Seed drives all randomness (see Cell.Params for the workload seed).
 	Seed uint64
 	// Footprints are data sizes as fractions of GPU memory.
 	Footprints []float64
@@ -104,18 +102,8 @@ type Config struct {
 	Migration multigpu.Policy
 }
 
-// Label renders the cell as a replay recipe: every knob plus the seed,
-// enough to rerun exactly this configuration with -jobs 1. Single-GPU
-// cells render exactly the pre-multi-GPU label (zero-value elision), so
-// every historical label and confighash is preserved.
-func (c Config) Label(s *Spec) string {
-	base := fmt.Sprintf("workload=%s footprint=%g prefetch=%s replay=%s evict=%s batch=%d vablock=%dKiB seed=%d",
-		s.Workload, c.Footprint, c.Prefetch, c.Replay, c.Evict, c.Batch, c.VABlock>>10, s.Seed)
-	if c.GPUs > 1 {
-		base += fmt.Sprintf(" gpus=%d migration=%s", c.GPUs, c.Migration)
-	}
-	return base
-}
+// Label renders the cell's replay recipe (see Cell.Label).
+func (c Config) Label(s *Spec) string { return s.Cell(c).Label() }
 
 // Validate resolves every name and bound in the spec up front. Nothing
 // has run yet when it fails.
@@ -141,18 +129,13 @@ func (s *Spec) Validate() error {
 			return err
 		}
 	}
-	cfg := core.DefaultConfig(s.GPUMemoryBytes)
 	for _, pf := range s.Prefetch {
-		probe := cfg
-		probe.PrefetchPolicy = pf
-		if err := core.ValidatePolicies(probe); err != nil {
+		if err := core.ValidatePolicies(core.Config{PrefetchPolicy: pf}); err != nil {
 			return err
 		}
 	}
 	for _, ev := range s.Evict {
-		probe := cfg
-		probe.EvictPolicy = ev
-		if err := core.ValidatePolicies(probe); err != nil {
+		if err := core.ValidatePolicies(core.Config{EvictPolicy: ev}); err != nil {
 			return err
 		}
 	}
@@ -187,8 +170,8 @@ func (s *Spec) Validate() error {
 // GPUs, migration — the same nesting the serial CLI always printed, with
 // the multi-GPU axes innermost. Empty GPUs/Migration lists default to
 // single-GPU first-touch, and single-GPU cells collapse the migration
-// axis (the policy is meaningless at K=1, and collapsing keeps labels —
-// and therefore confighashes — unique).
+// axis (EffectivelySingleGPU: the policy is meaningless at K=1, and
+// collapsing keeps labels — and therefore confighashes — unique).
 func (s *Spec) Configs() ([]Config, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -197,13 +180,9 @@ func (s *Spec) Configs() ([]Config, error) {
 	if len(gpus) == 0 {
 		gpus = []int{1}
 	}
-	migration := s.Migration
-	if len(migration) == 0 {
-		migration = []string{multigpu.FirstTouch.String()}
-	}
 	out := make([]Config, 0,
 		len(s.Footprints)*len(s.Prefetch)*len(s.Replay)*len(s.Evict)*
-			len(s.Batch)*len(s.VABlock)*len(gpus)*len(migration))
+			len(s.Batch)*len(s.VABlock)*len(gpus)*max(len(s.Migration), 1))
 	for _, fp := range s.Footprints {
 		for _, pf := range s.Prefetch {
 			for _, rp := range s.Replay {
@@ -215,16 +194,14 @@ func (s *Spec) Configs() ([]Config, error) {
 					for _, bs := range s.Batch {
 						for _, vb := range s.VABlock {
 							for _, g := range gpus {
-								for mi, mname := range migration {
-									if g <= 1 && mi > 0 {
-										continue // migration axis collapses at K=1
-									}
+								migration := s.Migration
+								if len(migration) == 0 || EffectivelySingleGPU([]int{g}, migration) {
+									migration = []string{multigpu.FirstTouch.String()}
+								}
+								for _, mname := range migration {
 									mpol, err := multigpu.ParsePolicy(mname)
 									if err != nil {
 										return nil, err
-									}
-									if g <= 1 {
-										mpol = multigpu.FirstTouch
 									}
 									out = append(out, Config{
 										Footprint: fp, Prefetch: pf, Replay: pol,
@@ -253,34 +230,18 @@ func Headers() []string {
 // runConfig executes one cell. It is a variable so tests can substitute
 // a crashing cell and assert the pool's panic containment.
 var runConfig = func(s *Spec, c Config) ([]interface{}, error) {
-	cfg := core.DefaultConfig(s.GPUMemoryBytes)
-	cfg.Seed = s.Seed
-	cfg.PrefetchPolicy = c.Prefetch
-	cfg.EvictPolicy = c.Evict
-	if strings.Contains(c.Evict, "access-aware") {
-		cfg.GPU.AccessCounters = true
+	cell := s.Cell(c)
+	cfg, err := cell.Config()
+	if err != nil {
+		return nil, err
 	}
-	cfg.Driver.Policy = c.Replay
-	cfg.Driver.BatchSize = c.Batch
-	cfg.VABlockSize = c.VABlock
-	if c.GPUs > 1 {
-		cfg.GPUs = c.GPUs
-		cfg.Migration = c.Migration
-	}
-	cfg.Obs = obs.Options{Collector: s.Obs, Label: c.Label(s), Lifecycle: s.Lifecycle}
+	cfg.Obs = obs.Options{Collector: s.Obs, Label: cell.Label(), Lifecycle: s.Lifecycle}
 	cfg.Cancel = s.cancel
-	cfg.Budget = s.Budget
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		return nil, err
 	}
-	builder, err := workloads.Get(s.Workload)
-	if err != nil {
-		return nil, err
-	}
-	p := workloads.DefaultParams()
-	p.Seed = s.Seed + 100
-	k, err := builder(sys, int64(c.Footprint*float64(s.GPUMemoryBytes)), p)
+	k, err := cell.Kernel(sys)
 	if err != nil {
 		return nil, err
 	}
