@@ -64,14 +64,15 @@ bench_baseline:
 
 # Alloc-guard: the nil-sink tracer/lifecycle fast path, the driver's
 # batch preprocess, the prefetch planner, the bitmap word-scan
-# primitives, and LRU churn must all stay allocation-free in steady
-# state, and the instrumented end-to-end benchmark must run.
+# primitives, LRU and thrash-detector churn must all stay allocation-free
+# in steady state, and the instrumented end-to-end benchmark must run.
 allocguard:
 	$(GO) test ./internal/obs -run TestNilTracerAllocFree -count=1
 	$(GO) test ./internal/driver -run 'TestPreprocessSteadyStateAllocFree|TestFetchSteadyStateAllocFree' -count=1
 	$(GO) test ./internal/tree -run TestPlanSteadyStateAllocFree -count=1
 	$(GO) test ./internal/mem -run TestBitmapWordPrimitivesAllocFree -count=1
 	$(GO) test ./internal/evict -run TestLRUChurnAllocFree -count=1
+	$(GO) test ./internal/thrash -run TestDetectorChurnAllocFree -count=1
 	$(GO) test ./internal/multigpu -run 'TestClassifySteadyStateAllocFree|TestRemoteAccessSteadyStateAllocFree|TestFabricStreamSteadyStateAllocFree' -count=1
 	$(GO) test ./internal/core -bench BenchmarkDriverService -benchtime 2x -benchmem -run=^$$
 

@@ -122,9 +122,9 @@ func parse(r *os.File) []Bench {
 		if len(f) < 3 {
 			continue
 		}
-		b := Bench{Name: f[0]}
+		b := Bench{Name: trimProcs(f[0])}
 		if pkg != "" {
-			b.Name = pkg + "." + f[0]
+			b.Name = pkg + "." + b.Name
 		}
 		n, err := strconv.ParseInt(f[1], 10, 64)
 		if err != nil {
@@ -159,6 +159,25 @@ func parse(r *os.File) []Bench {
 		out = append(out, b)
 	}
 	return out
+}
+
+// trimProcs strips the -N suffix go test appends to every benchmark
+// name when GOMAXPROCS is N > 1 (BenchmarkPlan-8,
+// BenchmarkDriverService/obs-off-8), so documents recorded on hosts with
+// different core counts name the same benchmark alike. A benchmark whose
+// own name ends in -<digits> cannot be told apart from the suffix; none
+// of this repository's benchmarks is named that way.
+func trimProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
 }
 
 func load(path string) Doc {

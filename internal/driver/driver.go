@@ -79,10 +79,10 @@ type Driver struct {
 	// after the previous batch has fully retired. Reuse never crosses a
 	// batch boundary mid-flight and never leaks state: every field is
 	// reset before use.
-	acc      []faultbuf.Entry      // fetch accumulation, cap BatchSize
-	bins     []*bin                // current batch's bins, sorted by block
-	binIndex map[mem.VABlockID]int // block -> index into bins; cleared per batch
-	binFree  []*bin                // recycled bins with retained bitmaps/maps
+	acc      []faultbuf.Entry    // fetch accumulation, cap BatchSize
+	bins     []*bin              // current batch's bins, sorted by block
+	binIndex mem.BlockTable[int] // block -> index into bins + 1; 0 = no bin
+	binFree  []*bin              // recycled bins with retained bitmaps/maps
 }
 
 // Deps bundles the driver's collaborators.
@@ -131,7 +131,6 @@ func New(cfg Config, d Deps) (*Driver, error) {
 		res:      d.Residency,
 		idle:     true,
 		acc:      make([]faultbuf.Entry, 0, cfg.BatchSize),
-		binIndex: make(map[mem.VABlockID]int),
 	}
 	if drv.res != nil {
 		// Registered lazily so single-GPU metric snapshots are unchanged.
@@ -318,19 +317,22 @@ func (d *Driver) getBin(id mem.VABlockID, geom mem.Geometry) *bin {
 // allocates nothing (pinned by TestPreprocessSteadyStateAllocFree).
 func (d *Driver) binBatch(entries []faultbuf.Entry) []*bin {
 	geom := d.space.Geometry()
+	// Only the previous batch's blocks hold index entries: reset those
+	// rather than the whole table.
+	for _, b := range d.bins {
+		*d.binIndex.At(b.block) = 0
+	}
 	d.binFree = append(d.binFree, d.bins...)
 	d.bins = d.bins[:0]
-	clear(d.binIndex)
 	var dups uint64
 	for _, e := range entries {
 		id := geom.BlockOf(e.Page)
-		i, ok := d.binIndex[id]
-		if !ok {
-			i = len(d.bins)
+		slot := d.binIndex.At(id)
+		if *slot == 0 {
 			d.bins = append(d.bins, d.getBin(id, geom))
-			d.binIndex[id] = i
+			*slot = len(d.bins)
 		}
-		b := d.bins[i]
+		b := d.bins[*slot-1]
 		idx := geom.PageIndex(e.Page)
 		if !b.demanded.Set(idx) {
 			dups++
@@ -360,7 +362,7 @@ func (d *Driver) binBatch(entries []faultbuf.Entry) []*bin {
 		}
 	})
 	// The service order must be fully determined by the batch contents:
-	// block IDs are unique within a batch (the index map guarantees it),
+	// block IDs are unique within a batch (the bin index guarantees it),
 	// so the sort has no ties and no order instability to hide behind.
 	// assertUniqueBlocks keeps that invariant explicit.
 	assertUniqueBlocks(ordered)

@@ -2,39 +2,10 @@ package evict
 
 import "testing"
 
-// TestLRUFreeListReuse exercises the node pool: churned nodes come back
-// from the free list with clean links and the list stays consistent.
-func TestLRUFreeListReuse(t *testing.T) {
-	l := NewLRU()
-	bs := blocks(4)
-	for _, b := range bs {
-		l.Insert(b)
-	}
-	for round := 0; round < 3; round++ {
-		// Evict-style churn: remove the victim, re-insert it.
-		v := l.Victim()
-		l.Remove(v)
-		if l.Len() != len(bs)-1 {
-			t.Fatalf("len = %d after remove", l.Len())
-		}
-		l.Insert(v)
-		if got := l.Victim(); got == v {
-			t.Fatal("freshly re-inserted block is the victim")
-		}
-	}
-	l.Remove(l.Victim())
-	if l.free == nil {
-		t.Fatal("free list empty after remove")
-	}
-	if l.free.block != nil {
-		t.Error("pooled node retains a block reference")
-	}
-}
-
 // TestLRUChurnAllocFree pins the steady-state Insert/Touch/Remove cycle
-// at zero allocations once the pool is warm. The map delete/re-add pair
-// stays within the map's existing buckets, so the whole eviction churn
-// path never reaches the allocator.
+// at zero allocations: a re-inserted block reuses its own entry in the
+// ID-indexed node table, so the whole eviction churn path never reaches
+// the allocator.
 func TestLRUChurnAllocFree(t *testing.T) {
 	l := NewLRU()
 	bs := blocks(8)

@@ -50,55 +50,59 @@ func New(name string, rng *sim.RNG) (Policy, error) {
 	}
 }
 
+// lruNode links one registered block into the LRU list by block
+// pointer; the zero value (block == nil) means "not registered".
 type lruNode struct {
 	block      *mem.VABlock
-	prev, next *lruNode
+	prev, next *mem.VABlock // toward the head / tail; nil at the ends
 }
 
 // LRU is the driver's default policy: victims come from the tail; Touch
 // moves a block to the head. Only fault servicing calls Touch.
 //
-// Removed nodes go to an intrusive free list instead of the garbage
-// collector: under oversubscription every serviced bin can evict and
-// re-insert a block, so the steady-state Insert/Remove churn reuses a
-// bounded set of nodes and allocates nothing.
+// The list nodes live in a table indexed by block ID, so the
+// steady-state Insert/Remove churn of oversubscription reuses the same
+// entries and allocates nothing.
 type LRU struct {
-	head, tail *lruNode // head = most recently touched
-	nodes      map[mem.VABlockID]*lruNode
-	free       *lruNode // singly linked (via next) recycled nodes
+	head, tail *mem.VABlock // head = most recently touched
+	nodes      mem.BlockTable[lruNode]
+	n          int
 }
 
 // NewLRU returns an empty LRU policy.
-func NewLRU() *LRU {
-	return &LRU{nodes: make(map[mem.VABlockID]*lruNode)}
-}
+func NewLRU() *LRU { return &LRU{} }
 
 // Name implements Policy.
 func (l *LRU) Name() string { return "lru" }
 
 // Len implements Policy.
-func (l *LRU) Len() int { return len(l.nodes) }
+func (l *LRU) Len() int { return l.n }
 
-func (l *LRU) pushFront(n *lruNode) {
-	n.prev = nil
-	n.next = l.head
+// has reports whether b is registered.
+func (l *LRU) has(b *mem.VABlock) bool { return l.nodes.Get(b.ID).block != nil }
+
+// pushFront links the unlinked, registered block b in as the head.
+func (l *LRU) pushFront(b *mem.VABlock) {
+	*l.nodes.At(b.ID) = lruNode{block: b, next: l.head}
 	if l.head != nil {
-		l.head.prev = n
+		l.nodes.At(l.head.ID).prev = b
 	}
-	l.head = n
+	l.head = b
 	if l.tail == nil {
-		l.tail = n
+		l.tail = b
 	}
 }
 
-func (l *LRU) unlink(n *lruNode) {
+// unlink takes b out of the list, leaving its entry registered.
+func (l *LRU) unlink(b *mem.VABlock) {
+	n := l.nodes.At(b.ID)
 	if n.prev != nil {
-		n.prev.next = n.next
+		l.nodes.At(n.prev.ID).next = n.next
 	} else {
 		l.head = n.next
 	}
 	if n.next != nil {
-		n.next.prev = n.prev
+		l.nodes.At(n.next.ID).prev = n.prev
 	} else {
 		l.tail = n.prev
 	}
@@ -108,64 +112,37 @@ func (l *LRU) unlink(n *lruNode) {
 // Insert implements Policy. Inserting an already-present block panics:
 // the driver allocates a block exactly once per residency period.
 func (l *LRU) Insert(b *mem.VABlock) {
-	if _, ok := l.nodes[b.ID]; ok {
+	if l.has(b) {
 		panic(fmt.Sprintf("evict: duplicate insert of block %d", b.ID))
 	}
-	n := l.free
-	if n != nil {
-		l.free = n.next
-		n.next = nil
-		n.block = b
-	} else {
-		n = &lruNode{block: b}
-	}
-	l.nodes[b.ID] = n
-	l.pushFront(n)
+	l.n++
+	l.pushFront(b)
 }
 
 // Touch implements Policy.
 func (l *LRU) Touch(b *mem.VABlock) {
-	n, ok := l.nodes[b.ID]
-	if !ok {
+	if !l.has(b) {
 		panic(fmt.Sprintf("evict: touch of unregistered block %d", b.ID))
 	}
-	if l.head == n {
+	if l.head == b {
 		return
 	}
-	l.unlink(n)
-	l.pushFront(n)
+	l.unlink(b)
+	l.pushFront(b)
 }
 
 // Remove implements Policy.
 func (l *LRU) Remove(b *mem.VABlock) {
-	n, ok := l.nodes[b.ID]
-	if !ok {
+	if !l.has(b) {
 		panic(fmt.Sprintf("evict: remove of unregistered block %d", b.ID))
 	}
-	l.unlink(n)
-	delete(l.nodes, b.ID)
-	n.block = nil // drop the block reference while pooled
-	n.next = l.free
-	l.free = n
+	l.unlink(b)
+	*l.nodes.At(b.ID) = lruNode{}
+	l.n--
 }
 
 // Victim implements Policy: the least recently touched block.
-func (l *LRU) Victim() *mem.VABlock {
-	if l.tail == nil {
-		return nil
-	}
-	return l.tail.block
-}
-
-// Tail returns up to n blocks from the LRU end, oldest first (testing and
-// diagnostics).
-func (l *LRU) Tail(n int) []*mem.VABlock {
-	out := make([]*mem.VABlock, 0, n)
-	for node := l.tail; node != nil && len(out) < n; node = node.prev {
-		out = append(out, node.block)
-	}
-	return out
-}
+func (l *LRU) Victim() *mem.VABlock { return l.tail }
 
 // FIFO evicts in allocation order; Touch is a no-op.
 type FIFO struct {
@@ -173,7 +150,7 @@ type FIFO struct {
 }
 
 // NewFIFO returns an empty FIFO policy.
-func NewFIFO() *FIFO { return &FIFO{lru: *NewLRU()} }
+func NewFIFO() *FIFO { return &FIFO{} }
 
 // Name implements Policy.
 func (f *FIFO) Name() string { return "fifo" }
@@ -186,7 +163,7 @@ func (f *FIFO) Insert(b *mem.VABlock) { f.lru.Insert(b) }
 
 // Touch implements Policy (no reordering).
 func (f *FIFO) Touch(b *mem.VABlock) {
-	if _, ok := f.lru.nodes[b.ID]; !ok {
+	if !f.lru.has(b) {
 		panic(fmt.Sprintf("evict: touch of unregistered block %d", b.ID))
 	}
 }
@@ -201,12 +178,12 @@ func (f *FIFO) Victim() *mem.VABlock { return f.lru.Victim() }
 type Random struct {
 	rng   *sim.RNG
 	order []*mem.VABlock
-	index map[mem.VABlockID]int
+	index mem.BlockTable[int] // position in order + 1; 0 = absent
 }
 
 // NewRandom returns an empty random policy using rng.
 func NewRandom(rng *sim.RNG) *Random {
-	return &Random{rng: rng, index: make(map[mem.VABlockID]int)}
+	return &Random{rng: rng}
 }
 
 // Name implements Policy.
@@ -217,31 +194,31 @@ func (r *Random) Len() int { return len(r.order) }
 
 // Insert implements Policy.
 func (r *Random) Insert(b *mem.VABlock) {
-	if _, ok := r.index[b.ID]; ok {
+	if r.index.Get(b.ID) != 0 {
 		panic(fmt.Sprintf("evict: duplicate insert of block %d", b.ID))
 	}
-	r.index[b.ID] = len(r.order)
 	r.order = append(r.order, b)
+	*r.index.At(b.ID) = len(r.order)
 }
 
 // Touch implements Policy (no-op).
 func (r *Random) Touch(b *mem.VABlock) {
-	if _, ok := r.index[b.ID]; !ok {
+	if r.index.Get(b.ID) == 0 {
 		panic(fmt.Sprintf("evict: touch of unregistered block %d", b.ID))
 	}
 }
 
 // Remove implements Policy (swap-delete).
 func (r *Random) Remove(b *mem.VABlock) {
-	i, ok := r.index[b.ID]
-	if !ok {
+	i := r.index.Get(b.ID) - 1
+	if i < 0 {
 		panic(fmt.Sprintf("evict: remove of unregistered block %d", b.ID))
 	}
 	last := len(r.order) - 1
 	r.order[i] = r.order[last]
-	r.index[r.order[i].ID] = i
+	*r.index.At(r.order[i].ID) = i + 1
 	r.order = r.order[:last]
-	delete(r.index, b.ID)
+	*r.index.At(b.ID) = 0
 }
 
 // Victim implements Policy.
@@ -259,13 +236,11 @@ func (r *Random) Victim() *mem.VABlock {
 // to one full cycle so Victim always terminates.
 type AccessAware struct {
 	lru      LRU
-	lastSeen map[mem.VABlockID]uint64
+	lastSeen mem.BlockTable[uint64]
 }
 
 // NewAccessAware returns an empty access-aware policy.
-func NewAccessAware() *AccessAware {
-	return &AccessAware{lru: *NewLRU(), lastSeen: make(map[mem.VABlockID]uint64)}
-}
+func NewAccessAware() *AccessAware { return &AccessAware{} }
 
 // Name implements Policy.
 func (a *AccessAware) Name() string { return "access-aware" }
@@ -276,17 +251,15 @@ func (a *AccessAware) Len() int { return a.lru.Len() }
 // Insert implements Policy.
 func (a *AccessAware) Insert(b *mem.VABlock) {
 	a.lru.Insert(b)
-	a.lastSeen[b.ID] = b.GPUAccesses
+	*a.lastSeen.At(b.ID) = b.GPUAccesses
 }
 
 // Touch implements Policy.
 func (a *AccessAware) Touch(b *mem.VABlock) { a.lru.Touch(b) }
 
-// Remove implements Policy.
-func (a *AccessAware) Remove(b *mem.VABlock) {
-	a.lru.Remove(b)
-	delete(a.lastSeen, b.ID)
-}
+// Remove implements Policy. The block's lastSeen entry goes stale; the
+// next Insert overwrites it.
+func (a *AccessAware) Remove(b *mem.VABlock) { a.lru.Remove(b) }
 
 // Victim implements Policy.
 func (a *AccessAware) Victim() *mem.VABlock {
@@ -296,9 +269,9 @@ func (a *AccessAware) Victim() *mem.VABlock {
 		if v == nil {
 			return nil
 		}
-		if v.GPUAccesses > a.lastSeen[v.ID] {
+		if seen := a.lastSeen.At(v.ID); v.GPUAccesses > *seen {
 			// Accessed since last inspection: second chance.
-			a.lastSeen[v.ID] = v.GPUAccesses
+			*seen = v.GPUAccesses
 			a.lru.Touch(v)
 			continue
 		}

@@ -60,9 +60,16 @@ func TestLRUTail(t *testing.T) {
 	for _, b := range bs {
 		l.Insert(b)
 	}
-	tail := l.Tail(2)
-	if len(tail) != 2 || tail[0] != bs[0] || tail[1] != bs[1] {
-		t.Fatalf("Tail = %v", tail)
+	// The LRU end yields the blocks oldest first, one Remove at a time.
+	for i, want := range bs {
+		v := l.Victim()
+		if v != want {
+			t.Fatalf("victim %d = %v, want block %d", i, v, want.ID)
+		}
+		l.Remove(v)
+	}
+	if v := l.Victim(); v != nil || l.Len() != 0 {
+		t.Fatalf("drained LRU: victim %v, len %d", v, l.Len())
 	}
 }
 

@@ -115,6 +115,20 @@ func TestResidentWithoutBackingViolates(t *testing.T) {
 	}
 }
 
+func TestLowestBlockViolationReportsFirst(t *testing.T) {
+	// Two corrupt blocks, corrupted highest ID first: the residency sweep
+	// visits blocks in ascending ID order, so the report always names
+	// block 0 whatever the corruption order.
+	eng, buf, space, pm := invRig(t, 64<<20)
+	inv := NewInvariants(eng, buf, space, pm, 11, 1)
+	inv.Attach()
+	eng.At(10, func() {
+		space.Block(1).Resident.Set(5)
+		space.Block(0).Resident.Set(3)
+	})
+	expectViolation(t, "block 0 holds 1 resident pages without physical backing", func() { eng.Run() })
+}
+
 func TestAllocatedOverCapacityViolates(t *testing.T) {
 	// PMA of one 2 MB chunk but two blocks claiming physical backing.
 	eng, buf, space, pm := invRig(t, 2<<20)

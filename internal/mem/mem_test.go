@@ -275,6 +275,40 @@ func TestBlockMaterialization(t *testing.T) {
 	}
 }
 
+func TestForEachBlockAscending(t *testing.T) {
+	s := NewAddressSpace(DefaultGeometry())
+	modes := []AccessMode{ModeMigrate, ModeRemoteMap, ModeReadDup, ModeMigrate}
+	for i, m := range modes {
+		if _, err := s.AllocMode(int64(i+1)<<20+12<<10, "r", m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Touch blocks out of order: visit order must not depend on it.
+	for _, id := range []VABlockID{5, 0, 3} {
+		s.Block(id).Resident.Set(1)
+	}
+	var got []VABlockID
+	s.ForEachBlock(func(b *VABlock) {
+		got = append(got, b.ID)
+		r := s.Ranges()[b.Range]
+		if b.Remote != (r.Mode == ModeRemoteMap) || b.ReadDup != (r.Mode == ModeReadDup) {
+			t.Errorf("block %d mode flags remote=%v readdup=%v in %v range", b.ID, b.Remote, b.ReadDup, r.Mode)
+		}
+		if b != s.Block(b.ID) {
+			t.Errorf("block %d visited a different state than Block returns", b.ID)
+		}
+	})
+	// Ranges of 1, 2, 3 and 4 MB plus 12 KB span 1, 2, 2 and 3 blocks.
+	if len(got) != 8 {
+		t.Fatalf("visited %d blocks, want 8: %v", len(got), got)
+	}
+	for i, id := range got {
+		if id != VABlockID(i) {
+			t.Fatalf("visit order %v, want ascending 0..7", got)
+		}
+	}
+}
+
 func TestBlockOutsideRangePanics(t *testing.T) {
 	s := NewAddressSpace(DefaultGeometry())
 	s.Alloc(1<<20, "A")

@@ -87,11 +87,11 @@ type VABlock struct {
 }
 
 // AddressSpace is the per-application virtual space: an ordered set of
-// ranges with lazily materialized VABlock state.
+// ranges and the VABlock state of every block they span, indexed by ID.
 type AddressSpace struct {
 	geom   Geometry
 	ranges []*Range
-	blocks map[VABlockID]*VABlock
+	blocks []*VABlock // blocks[id]; block IDs are dense from 0
 	// nextPage is the next VABlock-aligned free virtual page.
 	nextPage PageID
 	// special is set once any non-migrate range exists; the GPU's hot
@@ -101,7 +101,7 @@ type AddressSpace struct {
 
 // NewAddressSpace returns an empty address space with the given geometry.
 func NewAddressSpace(g Geometry) *AddressSpace {
-	return &AddressSpace{geom: g, blocks: make(map[VABlockID]*VABlock)}
+	return &AddressSpace{geom: g}
 }
 
 // Geometry returns the space's geometry.
@@ -114,9 +114,9 @@ func (s *AddressSpace) Alloc(size int64, label string) (*Range, error) {
 	return s.AllocMode(size, label, ModeMigrate)
 }
 
-// AllocMode reserves a new range with the given access behavior.
-// Remote-mapped ranges materialize their blocks eagerly with every valid
-// page "resident" through the interconnect.
+// AllocMode reserves a new range with the given access behavior and
+// creates the state of every block it spans. Remote-mapped blocks start
+// with every valid page "resident" through the interconnect.
 func (s *AddressSpace) AllocMode(size int64, label string, mode AccessMode) (*Range, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("mem: allocation size %d must be positive", size)
@@ -140,14 +140,18 @@ func (s *AddressSpace) AllocMode(size int64, label string, mode AccessMode) (*Ra
 	if mode != ModeMigrate {
 		s.special = true
 	}
-	if mode == ModeRemoteMap {
-		first := s.geom.BlockOf(r.StartPage)
-		for b := 0; b < blocks; b++ {
-			blk := s.Block(first + VABlockID(b))
-			valid := s.ValidPagesIn(blk.ID)
-			for p := 0; p < valid; p++ {
-				blk.Resident.Set(p)
-			}
+	for b := 0; b < blocks; b++ {
+		blk := &VABlock{
+			ID:       VABlockID(len(s.blocks)),
+			Range:    r.ID,
+			Resident: NewBitmap(per),
+			Dirty:    NewBitmap(per),
+			Remote:   mode == ModeRemoteMap,
+			ReadDup:  mode == ModeReadDup,
+		}
+		s.blocks = append(s.blocks, blk)
+		if blk.Remote {
+			blk.Resident.SetRange(0, s.ValidPagesIn(blk.ID))
 		}
 	}
 	return r, nil
@@ -197,57 +201,33 @@ func (s *AddressSpace) TotalPages() int {
 	return n
 }
 
-// Block returns the VABlock state for id, materializing it on first use.
-// It panics when the block lies outside every range: faults can only
-// originate from allocated virtual addresses.
+// Block returns the VABlock state for id. It panics when the block lies
+// outside every range: faults can only originate from allocated virtual
+// addresses.
 func (s *AddressSpace) Block(id VABlockID) *VABlock {
-	if b, ok := s.blocks[id]; ok {
+	if b := s.BlockIfExists(id); b != nil {
 		return b
 	}
-	first := s.geom.FirstPage(id)
-	r := s.RangeOf(first)
-	if r == nil {
-		// The first page of the block may sit in padding only when the
-		// range ends mid-block; map through the containing range instead.
-		for _, cand := range s.ranges {
-			start := s.geom.BlockOf(cand.StartPage)
-			if id >= start && id < start+VABlockID(cand.Blocks) {
-				r = cand
-				break
-			}
-		}
-	}
-	if r == nil {
-		panic(fmt.Sprintf("mem: VABlock %d outside every range", id))
-	}
-	b := &VABlock{
-		ID:       id,
-		Range:    r.ID,
-		Resident: NewBitmap(s.geom.PagesPerVABlock),
-		Dirty:    NewBitmap(s.geom.PagesPerVABlock),
-		Remote:   r.Mode == ModeRemoteMap,
-		ReadDup:  r.Mode == ModeReadDup,
-	}
-	s.blocks[id] = b
-	return b
+	panic(fmt.Sprintf("mem: VABlock %d outside every range", id))
 }
 
-// BlockIfExists returns the materialized block state or nil.
+// BlockIfExists returns the block state for id, or nil outside every
+// range.
 func (s *AddressSpace) BlockIfExists(id VABlockID) *VABlock {
-	return s.blocks[id]
+	if id < VABlockID(len(s.blocks)) {
+		return s.blocks[id]
+	}
+	return nil
 }
 
 // IsResident reports whether page p is currently resident on the GPU.
 func (s *AddressSpace) IsResident(p PageID) bool {
-	b := s.blocks[s.geom.BlockOf(p)]
-	if b == nil {
-		return false
-	}
-	return b.Resident.Get(s.geom.PageIndex(p))
+	b := s.BlockIfExists(s.geom.BlockOf(p))
+	return b != nil && b.Resident.Get(s.geom.PageIndex(p))
 }
 
-// ForEachBlock visits every materialized VABlock in unspecified order
-// (the invariant checker's residency sweep).
+// ForEachBlock visits every VABlock in ascending ID order (the invariant
+// checker's residency sweep, so the lowest-ID violation reports first).
 func (s *AddressSpace) ForEachBlock(fn func(*VABlock)) {
 	for _, b := range s.blocks {
 		fn(b)

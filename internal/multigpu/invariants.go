@@ -51,32 +51,29 @@ func (v *Invariants) Final(now sim.Time) {
 
 func (v *Invariants) audit(now sim.Time) {
 	m := v.m
-	// Owner map → views: the owner's view holds local backing; no peer
-	// view holds local backing for the same block.
-	for id, o := range m.owner {
-		blk := m.devs[o].Space.BlockIfExists(id)
-		if blk == nil || !blk.Allocated {
-			v.violate(now, fmt.Sprintf("block %d owned by device %d but not allocated in its view", id, o))
-		}
-		if blk != nil && blk.Remote {
-			v.violate(now, fmt.Sprintf("block %d owned by device %d but marked remote in its own view", id, o))
-		}
-	}
-	// Remote mask → views and back; remote holders require a live owner.
-	for id, mask := range m.remote {
-		if mask == 0 {
+	// Map → views, in ascending block order: the owner's view holds
+	// local backing and no remote mapping; host-owned blocks retain no
+	// remote mappings (Released invalidates holders before dropping
+	// ownership).
+	for i := 0; i < m.blocks.Len(); i++ {
+		id := mem.VABlockID(i)
+		r := m.blocks.Get(id)
+		if o := r.owner - 1; o >= 0 {
+			blk := m.devs[o].Space.BlockIfExists(id)
+			if blk == nil || !blk.Allocated {
+				v.violate(now, fmt.Sprintf("block %d owned by device %d but not allocated in its view", id, o))
+			}
+			if blk != nil && blk.Remote {
+				v.violate(now, fmt.Sprintf("block %d owned by device %d but marked remote in its own view", id, o))
+			}
 			continue
 		}
-		if _, ok := m.owner[id]; !ok {
-			// Host-owned blocks must not retain remote mappings: Released
-			// invalidates holders before dropping ownership.
-			for d := range m.devs {
-				if mask&(1<<uint(d)) == 0 {
-					continue
-				}
-				if blk := m.devs[d].Space.BlockIfExists(id); blk != nil && blk.Remote {
-					v.violate(now, fmt.Sprintf("block %d host-owned but device %d still holds a remote mapping", id, d))
-				}
+		for d := range m.devs {
+			if r.remote&(1<<uint(d)) == 0 {
+				continue
+			}
+			if blk := m.devs[d].Space.BlockIfExists(id); blk != nil && blk.Remote {
+				v.violate(now, fmt.Sprintf("block %d host-owned but device %d still holds a remote mapping", id, d))
 			}
 		}
 	}
@@ -87,15 +84,15 @@ func (v *Invariants) audit(now sim.Time) {
 		dev.Space.ForEachBlock(func(b *mem.VABlock) {
 			if b.Allocated {
 				allocated++
-				if o, ok := m.owner[b.ID]; !ok || o != d {
+				if m.Owner(b.ID) != d {
 					v.violate(now, fmt.Sprintf("device %d view has block %d allocated but residency map says owner=%d", d, b.ID, m.Owner(b.ID)))
 				}
 			}
 			if b.Remote {
-				if m.remote[b.ID]&(1<<uint(d)) == 0 {
+				if m.blocks.Get(b.ID).remote&(1<<uint(d)) == 0 {
 					v.violate(now, fmt.Sprintf("device %d view has block %d remote but residency map lists no such holder", d, b.ID))
 				}
-				if o, ok := m.owner[b.ID]; !ok {
+				if o := m.Owner(b.ID); o < 0 {
 					v.violate(now, fmt.Sprintf("device %d view has block %d remote but no device owns it", d, b.ID))
 				} else if o == d {
 					v.violate(now, fmt.Sprintf("device %d view has block %d remote-mapped to itself", d, b.ID))

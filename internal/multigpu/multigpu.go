@@ -120,22 +120,30 @@ type Manager struct {
 	devs []*Device
 	fab  *Fabric
 
-	// owner maps a VABlock to the device holding its physical backing;
-	// absent means host-resident (the initial state and the state after
-	// the owner evicts).
-	owner map[mem.VABlockID]int
-	// remote is the per-block bitmask of devices holding remote mappings.
-	remote map[mem.VABlockID]uint64
-	// counts is the per-block, per-device remote-access counter feeding
-	// the AccessCounter policy. Allocated lazily per block; absent under
-	// FirstTouch.
-	counts map[mem.VABlockID][]uint32
+	// blocks is the residency map proper, one record per VABlock.
+	blocks mem.BlockTable[residency]
 
 	reg               *obs.Registry
 	remoteAccesses    *obs.Counter
 	migrations        *obs.Counter
 	migrationsAborted *obs.Counter
 	invalidations     *obs.Counter
+}
+
+// residency is the shared map's record of one VABlock. The zero value is
+// a host-resident block (the initial state and the state after the owner
+// evicts) with no remote holders.
+type residency struct {
+	// owner is the device holding the block's physical backing, plus
+	// one; 0 means host-resident.
+	owner int
+	// remote is the bitmask of devices holding remote mappings.
+	remote uint64
+	// counts is the per-device remote-access counter feeding the
+	// AccessCounter policy: allocated on the block's first counted
+	// access, zeroed (not freed) when ownership changes, nil under
+	// FirstTouch.
+	counts []uint32
 }
 
 // NewManager wires the shared residency map and fabric over devs. Every
@@ -168,9 +176,6 @@ func NewManager(eng *sim.Engine, cfg Config, devs []*Device) (*Manager, error) {
 		cfg:               cfg,
 		devs:              devs,
 		fab:               newFabric(eng, cfg.Peer, devs),
-		owner:             make(map[mem.VABlockID]int),
-		remote:            make(map[mem.VABlockID]uint64),
-		counts:            make(map[mem.VABlockID][]uint32),
 		reg:               reg,
 		remoteAccesses:    reg.Counter("p2p_remote_accesses"),
 		migrations:        reg.Counter("p2p_migrations"),
@@ -191,10 +196,7 @@ func (m *Manager) Registry() *obs.Registry { return m.reg }
 
 // Owner returns the device owning block id, or -1 for host.
 func (m *Manager) Owner(id mem.VABlockID) int {
-	if o, ok := m.owner[id]; ok {
-		return o
-	}
-	return -1
+	return m.blocks.Get(id).owner - 1
 }
 
 // ---- driver hook (per-device view of the residency map) ----
@@ -212,9 +214,8 @@ func (m *Manager) DriverHook(dev int) driver.Residency {
 
 // Classify implements driver.Residency.
 func (v driverView) Classify(id mem.VABlockID) driver.Ownership {
-	o, ok := v.m.owner[id]
-	switch {
-	case !ok:
+	switch o := v.m.Owner(id); {
+	case o < 0:
 		return driver.OwnHost
 	case o == v.dev:
 		return driver.OwnSelf
@@ -232,18 +233,18 @@ func (v driverView) RemoteMap(b *mem.VABlock) int {
 	if valid > 0 {
 		b.Resident.SetRange(0, valid)
 	}
-	m.remote[b.ID] |= 1 << uint(dev)
+	m.blocks.At(b.ID).remote |= 1 << uint(dev)
 	return valid
 }
 
 // Claimed implements driver.Residency: dev allocated backing for b.
 func (v driverView) Claimed(b *mem.VABlock) {
-	m := v.m
-	if o, ok := m.owner[b.ID]; ok && o != v.dev {
+	r := v.m.blocks.At(b.ID)
+	if o := r.owner - 1; o >= 0 && o != v.dev {
 		panic(fmt.Sprintf("multigpu: device %d claimed block %d already owned by device %d", v.dev, b.ID, o))
 	}
-	m.owner[b.ID] = v.dev
-	delete(m.counts, b.ID)
+	r.owner = v.dev + 1
+	clear(r.counts)
 }
 
 // Released implements driver.Residency: dev evicted b. Ownership returns
@@ -251,23 +252,20 @@ func (v driverView) Claimed(b *mem.VABlock) {
 // next access re-faults and re-services from host memory.
 func (v driverView) Released(b *mem.VABlock) {
 	m := v.m
-	delete(m.owner, b.ID)
-	mask := m.remote[b.ID]
-	if mask != 0 {
-		for d := 0; d < len(m.devs); d++ {
-			if mask&(1<<uint(d)) == 0 {
-				continue
-			}
-			if blk := m.devs[d].Space.BlockIfExists(b.ID); blk != nil && blk.Remote {
-				blk.Remote = false
-				blk.Resident.Reset()
-				blk.Dirty.Reset()
-			}
-			m.invalidations.Inc(1)
+	r := m.blocks.At(b.ID)
+	for d := 0; d < len(m.devs); d++ {
+		if r.remote&(1<<uint(d)) == 0 {
+			continue
 		}
-		delete(m.remote, b.ID)
+		if blk := m.devs[d].Space.BlockIfExists(b.ID); blk != nil && blk.Remote {
+			blk.Remote = false
+			blk.Resident.Reset()
+			blk.Dirty.Reset()
+		}
+		m.invalidations.Inc(1)
 	}
-	delete(m.counts, b.ID)
+	clear(r.counts)
+	*r = residency{counts: r.counts}
 }
 
 // ---- GPU hook (remote access routing) ----
@@ -277,8 +275,9 @@ func (v driverView) Released(b *mem.VABlock) {
 // AccessCounter policy it also advances the per-device counter and
 // schedules a migration when the threshold is reached.
 func (m *Manager) RemoteAccess(dev int, page mem.PageID, write bool, b *mem.VABlock) sim.Duration {
-	o, ok := m.owner[b.ID]
-	if !ok {
+	r := m.blocks.At(b.ID)
+	o := r.owner - 1
+	if o < 0 {
 		// No device owns the block: either a host-pinned zero-copy range
 		// (ModeRemoteMap) or a mapping mid-invalidation. Both service from
 		// host memory over this device's own link, exactly like the
@@ -300,13 +299,11 @@ func (m *Manager) RemoteAccess(dev int, page mem.PageID, write bool, b *mem.VABl
 		ownerBlk.Dirty.Set(m.devs[o].Space.Geometry().PageIndex(page))
 	}
 	if m.cfg.Policy == AccessCounter && o != dev {
-		c := m.counts[b.ID]
-		if c == nil {
-			c = make([]uint32, len(m.devs))
-			m.counts[b.ID] = c
+		if r.counts == nil {
+			r.counts = make([]uint32, len(m.devs))
 		}
-		c[dev]++
-		if c[dev] == uint32(m.cfg.Threshold) {
+		r.counts[dev]++
+		if r.counts[dev] == uint32(m.cfg.Threshold) {
 			id, dst, expect := b.ID, dev, o
 			m.eng.After(0, func() { m.tryMigrate(id, dst, expect) })
 		}
@@ -319,8 +316,9 @@ func (m *Manager) RemoteAccess(dev int, page mem.PageID, write bool, b *mem.VABl
 // (ownership moved, mapping invalidated) are dropped; destination memory
 // pressure aborts and re-arms the counter.
 func (m *Manager) tryMigrate(id mem.VABlockID, dst, expectOwner int) {
-	cur, ok := m.owner[id]
-	if !ok || cur != expectOwner || cur == dst {
+	r := m.blocks.At(id)
+	cur := r.owner - 1
+	if cur != expectOwner || cur == dst {
 		return
 	}
 	dstDev := m.devs[dst]
@@ -330,8 +328,8 @@ func (m *Manager) tryMigrate(id mem.VABlockID, dst, expectOwner int) {
 	}
 	if _, err := dstDev.PMA.Alloc(); err != nil {
 		m.migrationsAborted.Inc(1)
-		if c := m.counts[id]; c != nil {
-			c[dst] = 0
+		if r.counts != nil {
+			r.counts[dst] = 0
 		}
 		return
 	}
@@ -354,9 +352,9 @@ func (m *Manager) tryMigrate(id mem.VABlockID, dst, expectOwner int) {
 	srcBlk.Dirty.Reset()
 	srcBlk.Allocated = false
 	srcBlk.Evictions++
-	m.owner[id] = dst
-	m.remote[id] &^= 1 << uint(dst)
-	delete(m.counts, id)
+	r.owner = dst + 1
+	r.remote &^= 1 << uint(dst)
+	clear(r.counts)
 	m.migrations.Inc(1)
 }
 
@@ -364,7 +362,7 @@ func (m *Manager) tryMigrate(id mem.VABlockID, dst, expectOwner int) {
 // staged (owner = dev) and remote-maps it on every other device, the
 // naive explicit multi-GPU distribution RunExplicit models.
 func (m *Manager) PrestageOwner(dev int, b *mem.VABlock) {
-	m.owner[b.ID] = dev
+	m.blocks.At(b.ID).owner = dev + 1
 	for d := range m.devs {
 		if d == dev {
 			continue

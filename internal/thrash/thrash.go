@@ -52,12 +52,19 @@ type Detector struct {
 	cfg   Config
 	inner evict.Policy
 
-	clock       uint64 // global eviction counter
-	evictedAt   map[mem.VABlockID]uint64
-	bounces     map[mem.VABlockID]int
-	pinnedUntil map[mem.VABlockID]uint64
+	clock  uint64 // global eviction counter
+	blocks mem.BlockTable[blockState]
 
 	stats Stats
+}
+
+// blockState is the detector's record of one block. The zero value is a
+// block that is not awaiting re-allocation, has no bounce streak and
+// holds no pin. Clock readings start at 1, so 0 stands for "none".
+type blockState struct {
+	evictedAt   uint64 // clock at the eviction not yet followed by re-allocation
+	bounces     int    // consecutive bounces
+	pinnedUntil uint64 // clock at which the pin lease expires
 }
 
 // New wraps inner with a detector.
@@ -71,13 +78,7 @@ func New(cfg Config, inner evict.Policy) (*Detector, error) {
 	if cfg.WindowEvictions == 0 || cfg.PinEvictions == 0 {
 		return nil, fmt.Errorf("thrash: window and pin lease must be positive")
 	}
-	return &Detector{
-		cfg:         cfg,
-		inner:       inner,
-		evictedAt:   make(map[mem.VABlockID]uint64),
-		bounces:     make(map[mem.VABlockID]int),
-		pinnedUntil: make(map[mem.VABlockID]uint64),
-	}, nil
+	return &Detector{cfg: cfg, inner: inner}, nil
 }
 
 // Name implements evict.Policy.
@@ -91,32 +92,24 @@ func (d *Detector) Stats() Stats { return d.stats }
 
 // Pinned reports whether block id currently holds a pin lease.
 func (d *Detector) Pinned(id mem.VABlockID) bool {
-	until, ok := d.pinnedUntil[id]
-	if !ok {
-		return false
-	}
-	if d.clock >= until {
-		delete(d.pinnedUntil, id)
-		return false
-	}
-	return true
+	return d.clock < d.blocks.Get(id).pinnedUntil
 }
 
 // Insert implements evict.Policy: a (re-)allocation. Re-allocation soon
 // (in eviction counts) after eviction is the thrash signal.
 func (d *Detector) Insert(b *mem.VABlock) {
-	if at, ok := d.evictedAt[b.ID]; ok {
-		if d.clock-at <= d.cfg.WindowEvictions {
-			d.bounces[b.ID]++
+	if st := d.blocks.At(b.ID); st.evictedAt != 0 {
+		if d.clock-st.evictedAt <= d.cfg.WindowEvictions {
+			st.bounces++
 			d.stats.ThrashEvents++
-			if d.bounces[b.ID] >= d.cfg.Threshold && !d.Pinned(b.ID) {
-				d.pinnedUntil[b.ID] = d.clock + d.cfg.PinEvictions
+			if st.bounces >= d.cfg.Threshold && !d.Pinned(b.ID) {
+				st.pinnedUntil = d.clock + d.cfg.PinEvictions
 				d.stats.Pins++
 			}
 		} else {
-			d.bounces[b.ID] = 0 // the bounce streak cooled off
+			st.bounces = 0 // the bounce streak cooled off
 		}
-		delete(d.evictedAt, b.ID)
+		st.evictedAt = 0
 	}
 	d.inner.Insert(b)
 }
@@ -127,7 +120,7 @@ func (d *Detector) Touch(b *mem.VABlock) { d.inner.Touch(b) }
 // Remove implements evict.Policy: an eviction (or teardown).
 func (d *Detector) Remove(b *mem.VABlock) {
 	d.clock++
-	d.evictedAt[b.ID] = d.clock
+	d.blocks.At(b.ID).evictedAt = d.clock
 	d.inner.Remove(b)
 }
 
