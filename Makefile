@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet perfbenchcheck test race bench benchall bench_baseline benchcheck allocguard chaos resumecheck servecheck distcheck logcheck fleetchaos multigpucheck clean
+.PHONY: check build vet perfbenchcheck test race bench benchall bench_baseline benchcheck allocguard fuzz chaos resumecheck servecheck distcheck logcheck fleetchaos multigpucheck clean
 
 # The full verification gate: compile everything, vet, run the test
 # suite under the race detector, hold the observability layer and hot
@@ -75,6 +75,13 @@ allocguard:
 	$(GO) test ./internal/thrash -run TestDetectorChurnAllocFree -count=1
 	$(GO) test ./internal/multigpu -run 'TestClassifySteadyStateAllocFree|TestRemoteAccessSteadyStateAllocFree|TestFabricStreamSteadyStateAllocFree' -count=1
 	$(GO) test ./internal/core -bench BenchmarkDriverService -benchtime 2x -benchmem -run=^$$
+
+# Fuzz the trace parser at its trust boundary: ParseTrace→Replay on a
+# fresh system must return an error or a kernel issuing exactly the
+# parsed accesses, never panic or build an unbounded address space. The
+# seed corpus lives in internal/workloads/testdata/fuzz/FuzzParseTrace.
+fuzz:
+	$(GO) test ./internal/workloads -run '^$$' -fuzz '^FuzzParseTrace$$' -fuzztime 20s
 
 # Seeded fault-injection campaign across workloads and replay policies;
 # exits non-zero if any cell fails to converge.

@@ -88,7 +88,7 @@ func run() int {
 		cacheTier   = flag.String("cache-tier", "", "coordinator mode: comma-separated uvmserved node URLs; completed rows are write-through filled to their owning node")
 	)
 	var gf govern.Flags
-	gf.Register()
+	gf.Register(flag.CommandLine)
 	var tf telemetry.Flags
 	tf.Register()
 	flag.Parse()

@@ -56,7 +56,7 @@ func run() int {
 		memProfile = flag.String("memprofile", "", "write a heap profile of the host process to this file on exit")
 	)
 	var gf govern.Flags
-	gf.Register()
+	gf.Register(flag.CommandLine)
 	flag.Parse()
 
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)

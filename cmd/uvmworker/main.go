@@ -62,7 +62,7 @@ func run() int {
 		slow       = flag.Duration("slow", 0, "chaos hook: pause after acquiring each lease before running")
 	)
 	var gf govern.Flags
-	gf.Register()
+	gf.Register(flag.CommandLine)
 	var tf telemetry.Flags
 	tf.Register()
 	flag.Parse()

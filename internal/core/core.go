@@ -383,17 +383,11 @@ func (s *System) Trace() *trace.Recorder { return s.rec }
 // Driver exposes device 0's driver for white-box inspection.
 func (s *System) Driver() *driver.Driver { return s.devs[0].drv }
 
-// DriverOf exposes device d's driver.
-func (s *System) DriverOf(d int) *driver.Driver { return s.devs[d].drv }
-
 // PMA exposes device 0's physical allocator for inspection.
 func (s *System) PMA() *pma.PMA { return s.devs[0].pm }
 
 // GPU exposes device 0 for inspection.
 func (s *System) GPU() *gpusim.GPU { return s.devs[0].gpu }
-
-// GPUOf exposes device d.
-func (s *System) GPUOf(d int) *gpusim.GPU { return s.devs[d].gpu }
 
 // Injector exposes the fault-injection layer (nil when disabled).
 func (s *System) Injector() *inject.Injector { return s.inj }

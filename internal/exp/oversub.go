@@ -150,7 +150,7 @@ func Table2(sc Scale) ([]*stats.Table, error) {
 
 // Fig8 reproduces Figure 8 in summary form: sgemm at ~120% of GPU memory
 // with evictions recorded at their relative time step. The scatter CSV
-// comes from cmd/faulttrace; here we report the evict-then-refault
+// comes from `uvmreport -workload sgemm -footprint 1.2 -csv`; here we report the evict-then-refault
 // statistic — data evicted immediately prior to being paged back in, the
 // worst-case behavior the paper highlights.
 func Fig8(sc Scale) ([]*stats.Table, error) {

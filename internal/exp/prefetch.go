@@ -58,12 +58,11 @@ func Table1(sc Scale) ([]*stats.Table, error) {
 	return []*stats.Table{t}, nil
 }
 
-// TraceWorkload runs one workload with tracing enabled and returns the
+// traceWorkload runs one workload with tracing enabled and returns the
 // system (holding the recorder) and its result. footprintFrac is the data
-// size as a fraction of GPU memory; prefetchPolicy "none" reproduces the
-// paper's Fig. 7 setting, while the default policy with an oversubscribed
-// fraction reproduces Fig. 8.
-func TraceWorkload(sc Scale, name string, footprintFrac float64, prefetchPolicy string) (*core.System, *core.RunResult, error) {
+// size as a fraction of GPU memory; prefetchPolicy "none" is the paper's
+// Fig. 7 setting, and "" keeps the scale's default policy.
+func traceWorkload(sc Scale, name string, footprintFrac float64, prefetchPolicy string) (*core.System, *core.RunResult, error) {
 	cfg := sc.sysConfig()
 	cfg.TraceCapacity = -1
 	if prefetchPolicy != "" {
@@ -80,7 +79,7 @@ func TraceWorkload(sc Scale, name string, footprintFrac float64, prefetchPolicy 
 
 // Fig7 reproduces Figure 7 in summary form: per-workload fault-pattern
 // statistics with prefetching disabled. The full scatter data (fault
-// occurrence vs page index) is exported by cmd/faulttrace. The
+// occurrence vs page index) is exported by `uvmreport -csv`. The
 // correlation column is the Pearson correlation between fault occurrence
 // order and page index — near 1 for the diagonal band of a streaming
 // pattern, near 0 for uniform random scatter.
@@ -100,7 +99,7 @@ func Fig7(sc Scale) ([]*stats.Table, error) {
 	q := sc.newQueue()
 	for _, name := range names {
 		q.add(fmt.Sprintf("fig7 workload=%s seed=%d", name, sc.Seed), func() (func(), error) {
-			sys, res, err := TraceWorkload(sc, name, frac, "none")
+			sys, res, err := traceWorkload(sc, name, frac, "none")
 			if err != nil {
 				return nil, fmt.Errorf("fig7 %s: %w", name, err)
 			}

@@ -27,15 +27,15 @@ type Flags struct {
 	LivelockEvents uint64
 }
 
-// Register installs the governance flags on the default CommandLine set.
-func (f *Flags) Register() {
-	flag.DurationVar(&f.Deadline, "deadline", 0,
+// Register installs the governance flags on fs.
+func (f *Flags) Register(fs *flag.FlagSet) {
+	fs.DurationVar(&f.Deadline, "deadline", 0,
 		"host wall-clock budget for the whole invocation (e.g. 10m); exceeded = graceful cancel, exit 130")
-	flag.DurationVar(&f.SimBudget, "sim-budget", 0,
+	fs.DurationVar(&f.SimBudget, "sim-budget", 0,
 		"simulated-time budget per run (e.g. 500ms of simulated time); exceeded cells stop with status deadline")
-	flag.Uint64Var(&f.MaxEvents, "max-events", 0,
+	fs.Uint64Var(&f.MaxEvents, "max-events", 0,
 		"event-count budget per run; exceeded cells stop with status deadline")
-	flag.Uint64Var(&f.LivelockEvents, "livelock-events", 0,
+	fs.Uint64Var(&f.LivelockEvents, "livelock-events", 0,
 		"livelock window: stop a run after this many events without simulated-clock progress")
 }
 

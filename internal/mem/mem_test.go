@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -393,6 +395,33 @@ func TestAllocModeReadDupAndValidation(t *testing.T) {
 	}
 	if len(s.Ranges()) != 1 {
 		t.Errorf("ranges = %d", len(s.Ranges()))
+	}
+}
+
+// An allocation past the VABlock ceiling fails with ErrSpaceTooLarge
+// before any block state is built, counting the blocks already in use,
+// and without overflowing on sizes near the int64 limit.
+func TestAllocCeiling(t *testing.T) {
+	s := NewAddressSpace(DefaultGeometry())
+	if _, err := s.Alloc(DefaultVABlockSize, "first"); err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int64{
+		MaxVABlocks * DefaultVABlockSize, // one block over with "first"
+		MaxVABlocks*DefaultVABlockSize + 1,
+		math.MaxInt64,
+	} {
+		if _, err := s.Alloc(size, "huge"); !errors.Is(err, ErrSpaceTooLarge) {
+			t.Errorf("Alloc(%d) err = %v, want ErrSpaceTooLarge", size, err)
+		}
+	}
+	blocks := 0
+	s.ForEachBlock(func(*VABlock) { blocks++ })
+	if len(s.Ranges()) != 1 || blocks != 1 {
+		t.Fatalf("rejected allocations changed the space: %d ranges, %d blocks", len(s.Ranges()), blocks)
+	}
+	if _, err := s.Alloc(DefaultVABlockSize, "second"); err != nil {
+		t.Fatalf("allocation after a rejection: %v", err)
 	}
 }
 

@@ -1,6 +1,9 @@
 package mem
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // AccessMode selects one of UVM's three page access behaviors
 // (paper §III-A) for a range.
@@ -86,6 +89,16 @@ type VABlock struct {
 	GPUAccesses uint64
 }
 
+// MaxVABlocks bounds the VABlocks one address space may span (512 GiB at
+// the default 2 MiB block). AllocMode builds the state of every block up
+// front, so the bound keeps an allocation sized from untrusted input (a
+// replayed trace) from exhausting host memory.
+const MaxVABlocks = 1 << 18
+
+// ErrSpaceTooLarge reports an allocation that would push an address
+// space past MaxVABlocks.
+var ErrSpaceTooLarge = errors.New("mem: address space exceeds the VABlock ceiling")
+
 // AddressSpace is the per-application virtual space: an ordered set of
 // ranges and the VABlock state of every block they span, indexed by ID.
 type AddressSpace struct {
@@ -123,6 +136,9 @@ func (s *AddressSpace) AllocMode(size int64, label string, mode AccessMode) (*Ra
 	}
 	if mode < ModeMigrate || mode > ModeReadDup {
 		return nil, fmt.Errorf("mem: invalid access mode %d", int(mode))
+	}
+	if blocks := (size-1)/s.geom.VABlockSize + 1; blocks > MaxVABlocks-int64(len(s.blocks)) {
+		return nil, fmt.Errorf("%w: %q needs %d blocks, %d of %d in use", ErrSpaceTooLarge, label, blocks, len(s.blocks), MaxVABlocks)
 	}
 	pages := PagesFor(size)
 	per := s.geom.PagesPerVABlock

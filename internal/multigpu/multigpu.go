@@ -185,9 +185,6 @@ func NewManager(eng *sim.Engine, cfg Config, devs []*Device) (*Manager, error) {
 	return m, nil
 }
 
-// Devices returns the managed devices in ID order.
-func (m *Manager) Devices() []*Device { return m.devs }
-
 // Fabric returns the interconnect fabric.
 func (m *Manager) Fabric() *Fabric { return m.fab }
 

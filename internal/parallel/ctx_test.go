@@ -132,14 +132,3 @@ func TestMapCtxPanicAccounting(t *testing.T) {
 		t.Fatalf("outcome = %+v, want panicking task ran and 4 skipped", out)
 	}
 }
-
-func TestForEachCtx(t *testing.T) {
-	var calls atomic.Int64
-	out, err := ForEachCtx(context.Background(), 3, 9, func(i int) error {
-		calls.Add(1)
-		return nil
-	})
-	if err != nil || calls.Load() != 9 || out.Skipped != 0 {
-		t.Fatalf("err=%v calls=%d out=%+v", err, calls.Load(), out)
-	}
-}

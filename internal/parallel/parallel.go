@@ -160,14 +160,6 @@ func ForEach(jobs, n int, fn func(i int) error) error {
 	return err
 }
 
-// ForEachCtx is ForEach with MapCtx's cancellation and accounting.
-func ForEachCtx(ctx context.Context, jobs, n int, fn func(i int) error) (Outcome, error) {
-	_, out, err := MapCtx(ctx, jobs, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return out, err
-}
-
 // call invokes fn(i), converting a panic into a *PanicError.
 func call[T any](i int, fn func(i int) (T, error)) (result T, err error) {
 	defer func() {

@@ -1,7 +1,7 @@
 // Package plot renders simple ASCII scatter and line charts for terminal
 // output, so the paper's figures can be *seen*, not just tabulated: the
 // Fig. 7 access-pattern panels and Fig. 8's eviction overlay render
-// directly from fault traces in cmd/faulttrace and cmd/uvmreport.
+// directly from fault traces in cmd/uvmreport.
 package plot
 
 import (

@@ -188,11 +188,6 @@ func (c *Client) Sweep(ctx context.Context, req serve.SweepRequest) (*Result, er
 	return c.do(ctx, http.MethodPost, "/v1/sweep", req)
 }
 
-// Exp runs one named paper experiment.
-func (c *Client) Exp(ctx context.Context, id string, req serve.ExpRequest) (*Result, error) {
-	return c.do(ctx, http.MethodPost, "/v1/exp/"+id, req)
-}
-
 // Submit enqueues an async sweep job; the returned info carries the id
 // to poll.
 func (c *Client) Submit(ctx context.Context, req serve.SweepRequest) (serve.JobInfo, *Result, error) {

@@ -10,7 +10,9 @@ import (
 // compose:
 //
 //   - A shared Cancel flag, polled every cancelCheckEvery events, lets a
-//     signal handler or context stop many engines cooperatively.
+//     signal handler or context stop many engines cooperatively. The
+//     same poll answers sample requests, so a controller on another
+//     goroutine can observe a running model without touching it.
 //   - A Budget bounds simulated time, total event count, and forward
 //     progress (the livelock window) deterministically: the same budget
 //     stops the same run at the same event on every host.
@@ -29,15 +31,60 @@ const cancelCheckEvery = 64
 
 // Cancel is a cooperative cancellation flag shared between a controller
 // (signal handler, context watcher, test) and any number of engines.
-// The zero value is ready to use; Set may be called from any goroutine
-// and is idempotent.
-type Cancel struct{ flag atomic.Bool }
+// The zero value is ready to use; Set and RequestSample may be called
+// from any goroutine and are idempotent.
+type Cancel struct {
+	state  atomic.Uint32 // cancelBit | sampleBit
+	sample func()
+}
+
+const (
+	cancelBit uint32 = 1 << iota
+	sampleBit
+)
 
 // Set requests cancellation of every engine polling this flag.
-func (c *Cancel) Set() { c.flag.Store(true) }
+func (c *Cancel) Set() { c.raise(cancelBit) }
 
 // Cancelled reports whether cancellation was requested.
-func (c *Cancel) Cancelled() bool { return c.flag.Load() }
+func (c *Cancel) Cancelled() bool { return c.state.Load()&cancelBit != 0 }
+
+// OnSample installs the hook RequestSample triggers. Install it before
+// the run starts. The hook runs on the goroutine of the engine that
+// answers the request, between two events, so it may read any model
+// state that engine drives.
+func (c *Cancel) OnSample(fn func()) { c.sample = fn }
+
+// RequestSample asks the next engine that polls this flag to run the
+// OnSample hook. Requests made before an answer coalesce into one.
+func (c *Cancel) RequestSample() { c.raise(sampleBit) }
+
+func (c *Cancel) raise(bit uint32) {
+	for {
+		s := c.state.Load()
+		if s&bit != 0 || c.state.CompareAndSwap(s, s|bit) {
+			return
+		}
+	}
+}
+
+// poll reports whether cancellation was requested, first answering a
+// pending sample request. With nothing requested it costs one atomic
+// load, as a plain flag would.
+func (c *Cancel) poll() bool {
+	s := c.state.Load()
+	if s == 0 {
+		return false
+	}
+	if s&cancelBit != 0 {
+		return true
+	}
+	// A Set racing this answer fails the swap; the next poll sees it.
+	if c.state.CompareAndSwap(sampleBit, 0) && c.sample != nil {
+		c.sample()
+	}
+	return false
+}
 
 // Budget bounds one engine's run. The zero value is unlimited; each
 // field is independent and zero disables that bound. All three bounds
@@ -159,7 +206,7 @@ func (e *Engine) checkGovern() bool {
 		e.stop = StopSimBudget
 		return true
 	}
-	if e.cancel != nil && e.executed&(cancelCheckEvery-1) == 0 && e.cancel.Cancelled() {
+	if e.cancel != nil && e.executed&(cancelCheckEvery-1) == 0 && e.cancel.poll() {
 		e.stop = StopCancelled
 		return true
 	}

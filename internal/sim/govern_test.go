@@ -112,6 +112,86 @@ func TestCancelFlagStopsRun(t *testing.T) {
 	}
 }
 
+// A sample request is answered by the engine itself, at its next poll,
+// once per request, and never stops the run. A request on a cancelled
+// flag is not answered.
+func TestSampleRequestAnsweredAtPoll(t *testing.T) {
+	c := &Cancel{}
+	e := NewEngine()
+	e.SetCancel(c)
+	var at []uint64
+	c.OnSample(func() { at = append(at, e.Executed()) })
+	n := 0
+	var tick func()
+	tick = func() {
+		if n++; n == 100 || n == 101 {
+			c.RequestSample()
+		}
+		if n < 300 {
+			e.After(1, tick)
+		}
+	}
+	e.After(1, tick)
+	c.RequestSample()
+	e.Run()
+	if got := e.StopReason(); got != StopNone {
+		t.Fatalf("StopReason = %v, want none", got)
+	}
+	if n != 300 || len(at) != 2 || at[0] != 0 || at[1] != 2*cancelCheckEvery {
+		t.Fatalf("ran %d events, samples at %v; want 300 events, samples at [0 %d]", n, at, 2*cancelCheckEvery)
+	}
+
+	c.RequestSample()
+	c.Set()
+	e = NewEngine()
+	e.SetCancel(c)
+	e.After(1, func() {})
+	e.Run()
+	if len(at) != 2 || e.StopReason() != StopCancelled {
+		t.Fatalf("samples at %v, stop %v; want no sample after cancel", at, e.StopReason())
+	}
+}
+
+// Requests from another goroutine while the engine runs are answered on
+// the engine's goroutine: the hook's plain counter would be a data race
+// under -race otherwise.
+func TestSampleRequestsFromAnotherGoroutine(t *testing.T) {
+	c := &Cancel{}
+	e := NewEngine()
+	e.SetCancel(c)
+	samples := 0
+	c.OnSample(func() { samples++ })
+	n := 0
+	var tick func()
+	tick = func() {
+		if n++; n < 200000 {
+			e.After(1, tick)
+		}
+	}
+	e.After(1, tick)
+	done, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				c.RequestSample()
+			}
+		}
+	}()
+	e.Run()
+	close(done)
+	<-exited
+	if e.StopReason() != StopNone || n != 200000 {
+		t.Fatalf("stop %v after %d events; sample requests must not stop the run", e.StopReason(), n)
+	}
+	if samples > 200000/cancelCheckEvery+1 {
+		t.Fatalf("%d samples in %d events; at most one per poll", samples, n)
+	}
+}
+
 // An ungoverned engine must behave exactly as before: no stop reason,
 // full drain.
 func TestUngovernedRunsToCompletion(t *testing.T) {

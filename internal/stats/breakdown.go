@@ -99,16 +99,6 @@ func (b *Breakdown) Merge(other *Breakdown) {
 	}
 }
 
-// Fraction returns phase p's share of the total, or 0 for an empty
-// breakdown.
-func (b *Breakdown) Fraction(p Phase) float64 {
-	t := b.Total()
-	if t == 0 {
-		return 0
-	}
-	return float64(b.dur[p]) / float64(t)
-}
-
 // String renders a compact single-line summary.
 func (b *Breakdown) String() string {
 	parts := make([]string, 0, numPhases)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 
 	"uvmsim/internal/sim"
 )
@@ -157,18 +156,3 @@ func (s *Series) Append(x, y float64) {
 
 // Len returns the number of points.
 func (s *Series) Len() int { return len(s.X) }
-
-// SortByX orders points by ascending x.
-func (s *Series) SortByX() {
-	idx := make([]int, len(s.X))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return s.X[idx[a]] < s.X[idx[b]] })
-	nx := make([]float64, len(s.X))
-	ny := make([]float64, len(s.Y))
-	for i, j := range idx {
-		nx[i], ny[i] = s.X[j], s.Y[j]
-	}
-	s.X, s.Y = nx, ny
-}

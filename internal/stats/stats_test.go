@@ -26,7 +26,7 @@ func TestBreakdownAccumulation(t *testing.T) {
 	}
 }
 
-func TestBreakdownMergeAndFraction(t *testing.T) {
+func TestBreakdownMerge(t *testing.T) {
 	var a, b Breakdown
 	a.Add(PhaseMap, 100)
 	b.Add(PhaseMap, 100)
@@ -34,13 +34,6 @@ func TestBreakdownMergeAndFraction(t *testing.T) {
 	a.Merge(&b)
 	if a.Get(PhaseMap) != 200 || a.Get(PhaseReplay) != 200 {
 		t.Error("Merge wrong")
-	}
-	if f := a.Fraction(PhaseMap); f != 0.5 {
-		t.Errorf("Fraction = %v", f)
-	}
-	var empty Breakdown
-	if empty.Fraction(PhaseMap) != 0 {
-		t.Error("empty Fraction should be 0")
 	}
 }
 
@@ -189,13 +182,12 @@ func TestSeries(t *testing.T) {
 	s.Append(3, 30)
 	s.Append(1, 10)
 	s.Append(2, 20)
-	s.SortByX()
 	if s.Len() != 3 {
 		t.Fatal("Len wrong")
 	}
-	for i, want := range []float64{1, 2, 3} {
+	for i, want := range []float64{3, 1, 2} {
 		if s.X[i] != want || s.Y[i] != want*10 {
-			t.Fatalf("SortByX wrong: %+v", s)
+			t.Fatalf("Append order wrong: %+v", s)
 		}
 	}
 }

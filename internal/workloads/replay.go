@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -24,7 +25,7 @@ type TraceAccess struct {
 //
 //   - two CSV columns "page_index,rw" where rw is r/w (or 0/1), with an
 //     optional header line;
-//   - the cmd/faulttrace CSV export (seq,time_ns,kind,page_index,block,
+//   - the `uvmreport -csv` export (seq,time_ns,kind,page_index,block,
 //     range), from which fault rows are replayed in order.
 //
 // Lines starting with '#' are skipped.
@@ -41,7 +42,7 @@ func ParseTrace(r io.Reader) ([]TraceAccess, error) {
 		}
 		fields := strings.Split(line, ",")
 		switch {
-		case len(fields) >= 6: // faulttrace export
+		case len(fields) >= 6: // uvmreport -csv export
 			if fields[0] == "seq" {
 				continue // header
 			}
@@ -81,7 +82,9 @@ func ParseTrace(r io.Reader) ([]TraceAccess, error) {
 }
 
 // Replay builds a kernel that re-issues a captured page trace against a
-// single managed allocation sized to the trace's footprint. The trace's
+// single managed allocation sized to the trace's footprint; a trace whose
+// highest page would overflow the allocation size or pass
+// mem.MaxVABlocks fails with mem.ErrSpaceTooLarge. The trace's
 // access order is preserved within each warp; warps partition the trace
 // into consecutive chunks, mirroring how the original accesses were
 // spread across compute units.
@@ -98,6 +101,9 @@ func Replay(a Allocator, accesses []TraceAccess, p Params) (*gpusim.Kernel, erro
 		if acc.Page > maxPage {
 			maxPage = acc.Page
 		}
+	}
+	if maxPage >= math.MaxInt64/mem.PageSize {
+		return nil, fmt.Errorf("workloads: trace page %d: %w", maxPage, mem.ErrSpaceTooLarge)
 	}
 	r, err := a.MallocManaged((maxPage+1)*mem.PageSize, "replay")
 	if err != nil {

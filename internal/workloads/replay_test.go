@@ -1,8 +1,11 @@
 package workloads
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"uvmsim/internal/mem"
 )
 
 func TestParseTraceTwoColumn(t *testing.T) {
@@ -22,7 +25,7 @@ func TestParseTraceTwoColumn(t *testing.T) {
 	}
 }
 
-func TestParseTraceFaulttraceExport(t *testing.T) {
+func TestParseTraceCSVExport(t *testing.T) {
 	in := strings.NewReader(strings.Join([]string{
 		"seq,time_ns,kind,page_index,block,range",
 		"1,100,fault,42,0,0",
@@ -84,7 +87,25 @@ func TestReplayRejectsBadTraces(t *testing.T) {
 	}
 }
 
-// Round trip: a faulttrace-style export of a simulated run parses and
+// A sparse trace names a page so high that its single allocation would
+// need millions of VABlocks; Replay must refuse it up front with the
+// named ceiling error instead of building the blocks.
+func TestReplayRejectsSparseTrace(t *testing.T) {
+	for _, in := range []string{
+		"0,r\n10000000000,r\n",
+		"0,r\n9223372036854775807,w\n", // (page+1)*PageSize overflows int64
+	} {
+		accs, err := ParseTrace(strings.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Replay(newAlloc(), accs, DefaultParams()); !errors.Is(err, mem.ErrSpaceTooLarge) {
+			t.Errorf("%q: err = %v, want mem.ErrSpaceTooLarge", in, err)
+		}
+	}
+}
+
+// Round trip: a `uvmreport -csv` export of a simulated run parses and
 // replays into a kernel covering the same pages.
 func TestReplayRoundTripFormat(t *testing.T) {
 	var sb strings.Builder

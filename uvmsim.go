@@ -192,7 +192,7 @@ func ApplyModuleParams(cfg *Config, params string) error {
 type TraceAccess = workloads.TraceAccess
 
 // ParseTrace reads a page-access trace: either a two-column
-// "page_index,rw" CSV or the cmd/faulttrace export format.
+// "page_index,rw" CSV or the `uvmreport -csv` export format.
 func ParseTrace(r io.Reader) ([]TraceAccess, error) { return workloads.ParseTrace(r) }
 
 // BuildReplay builds a kernel that re-issues a captured page trace
